@@ -35,6 +35,7 @@ from .graph import (
     Path,
     UnknownVertexError,
     alternating_paths,
+    count_paths,
     derived_graph,
     flatten,
     prime_cycles,

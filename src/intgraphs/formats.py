@@ -66,9 +66,9 @@ def vertex_token(v: Any) -> str:
 
 
 def id_token(edge_id: Any) -> str:
-    if isinstance(edge_id, tuple):
-        return ".".join(id_token(x) for x in edge_id)
-    return str(edge_id)
+    if not isinstance(edge_id, tuple):
+        return str(edge_id)
+    return ".".join([id_token(x) if isinstance(x, tuple) else str(x) for x in edge_id])
 
 
 def parse_graph(text: str) -> tuple[str, Graph]:
@@ -120,11 +120,17 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
 
 def render_graph(name: str, graph: Graph) -> str:
     lines = [f"graph {name}"]
-    for v in sorted(graph.vertices, key=vertex_token):
-        lines.append(f"vertex {vertex_token(v)}")
-    for e in sorted(graph.edges, key=lambda e: id_token(e.id)):
-        lines.append(f"edge {id_token(e.id)} {vertex_token(e.src)} {vertex_token(e.tgt)}")
-    return "\n".join(lines) + "\n"
+    vtokens = {v: vertex_token(v) for v in graph.vertices}
+    lines += [f"vertex {t}" for t in sorted(vtokens.values())]
+    # one token per edge, both for the order and for the line
+    edges = graph.edges
+    etokens = [id_token(e.id) for e in edges]
+    for i in sorted(range(len(edges)), key=etokens.__getitem__):
+        e = edges[i]
+        lines.append(f"edge {etokens[i]} {vtokens[e.src]} {vtokens[e.tgt]}")
+    del etokens  # freed before the text is joined
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_project(text: str) -> tuple[str, Project]:

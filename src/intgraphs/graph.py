@@ -11,6 +11,16 @@ graph are the alternating paths, so path finiteness becomes
 reachability-plus-acyclicity and cycle finiteness becomes a condition on
 strongly connected components.
 
+`derived_graph` compiles the pair once into int arrays: node i is one
+(side, Edge), numbered in sort-key order, so sorted successor lists are
+ascending int lists.  One iterative Tarjan pass over those arrays (Tarjan 1972)
+answers both finiteness questions.  From the initial nodes it gives
+reachability, and folding co-reachability over its components in reverse
+topological order gives the live nodes: the path set is infinite iff a
+live component is nontrivial (`alternating_paths`, `count_paths`).  Over
+all nodes it gives the cycle classes: the cycle set is finite iff every
+nontrivial component is a single simple cycle (`prime_cycles`).
+
 Vertices and edge ids are arbitrary hashable values.  Tuple ids are
 treated as composite (sequences of base ids); `flatten` computes the flat
 normal form that makes results of nested executions comparable.
@@ -18,6 +28,7 @@ normal form that makes results of nested executions comparable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
@@ -227,12 +238,15 @@ def flatten(obj: Any) -> tuple:
     Tuples and lists recurse; everything else is atomic.  Idempotent:
     flatten(flatten(x)) == flatten(x).
     """
-    if isinstance(obj, (tuple, list)):
-        out: list = []
-        for item in obj:
+    if not isinstance(obj, (tuple, list)):
+        return (obj,)
+    out: list = []
+    for item in obj:
+        if isinstance(item, (tuple, list)):
             out.extend(flatten(item))
-        return tuple(out)
-    return (obj,)
+        else:
+            out.append(item)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -267,10 +281,11 @@ class Path:
     def target(self) -> Vertex:
         return self.steps[-1][1].tgt
 
-    @property
+    @functools.cached_property
     def flat_id(self) -> tuple:
         """The flattened base-edge-id sequence; the path's identity under
-        execution."""
+        execution.  `alternating_paths` fills it in from the derived
+        graph's per-node flat ids."""
         return flatten(tuple(e.id for _, e in self.steps))
 
     def __len__(self) -> int:
@@ -287,20 +302,38 @@ def _node_key(node: DerivedNode) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class DerivedGraph:
-    """Edges-as-nodes view of an interacting pair.
+    """Edges-as-nodes view of an interacting pair, compiled to int arrays.
 
-    Nodes are (side, Edge) with side 0 for the first graph, 1 for the
-    second; an arc e -> e' means e' may follow e in an alternating path.
-    Initial nodes have their source in the boundary (symmetric difference
-    of the vertex sets), final nodes their target.  Initial nodes have no
-    incoming arcs and final nodes no outgoing arcs, so boundary-to-boundary
-    walks are exactly the maximal finite alternating paths.
+    Node ``i`` is ``nodes[i]``, a (side, Edge) with side 0 for the first
+    graph and 1 for the second, numbered in `_node_key` order.  ``succ[i]``
+    lists, ascending, the nodes that may follow node i in an alternating
+    path.  Initial nodes have their source in the boundary (symmetric
+    difference of the vertex sets), final nodes their target.  Initial
+    nodes have no incoming arcs and final nodes no outgoing arcs, so
+    boundary-to-boundary walks are exactly the maximal finite alternating
+    paths.
+
+    ``arcs``, ``initial`` and ``final`` are node-keyed views computed from
+    the arrays on access.
     """
 
     nodes: tuple[DerivedNode, ...]
-    arcs: dict[DerivedNode, tuple[DerivedNode, ...]]
-    initial: frozenset
-    final: frozenset
+    succ: list[list[int]]
+    is_initial: list[bool]
+    is_final: list[bool]
+
+    @property
+    def arcs(self) -> dict[DerivedNode, tuple[DerivedNode, ...]]:
+        nodes = self.nodes
+        return {node: tuple(nodes[j] for j in out) for node, out in zip(nodes, self.succ)}
+
+    @property
+    def initial(self) -> frozenset:
+        return frozenset(n for n, flag in zip(self.nodes, self.is_initial) if flag)
+
+    @property
+    def final(self) -> frozenset:
+        return frozenset(n for n, flag in zip(self.nodes, self.is_final) if flag)
 
 
 def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
@@ -308,100 +341,179 @@ def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
     nodes = sorted(
         [(0, e) for e in g.edges] + [(1, e) for e in h.edges], key=_node_key
     )
-    by_source: dict[tuple[int, Vertex], list[DerivedNode]] = {}
-    for node in nodes:
-        side, edge = node
-        by_source.setdefault((side, edge.src), []).append(node)
-    arcs: dict[DerivedNode, tuple[DerivedNode, ...]] = {}
-    for node in nodes:
-        side, edge = node
-        arcs[node] = tuple(by_source.get((1 - side, edge.tgt), ()))
-    initial = frozenset(n for n in nodes if n[1].src in boundary)
-    final = frozenset(n for n in nodes if n[1].tgt in boundary)
-    return DerivedGraph(tuple(nodes), arcs, initial, final)
+    by_source: dict[tuple[int, Vertex], list[int]] = {}
+    for i, (side, edge) in enumerate(nodes):
+        by_source.setdefault((side, edge.src), []).append(i)
+    no_arcs: list[int] = []
+    return DerivedGraph(
+        tuple(nodes),
+        [by_source.get((1 - side, edge.tgt), no_arcs) for side, edge in nodes],
+        [edge.src in boundary for _, edge in nodes],
+        [edge.tgt in boundary for _, edge in nodes],
+    )
 
 
-def _closure(seeds: Iterable[DerivedNode], succ: dict[DerivedNode, tuple[DerivedNode, ...]]) -> set:
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for m in succ[stack.pop()]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen
+def _sccs(succ: list[list[int]], roots: Iterable[int]) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the nodes reachable from ``roots``
+    (Tarjan 1972, iterative).
 
-
-def _find_cycle(nodes: Iterable[DerivedNode], succ: dict[DerivedNode, tuple[DerivedNode, ...]]) -> list[DerivedNode] | None:
-    """Return one directed cycle within ``nodes``, or None if acyclic."""
-    allowed = set(nodes)
-    color: dict[DerivedNode, int] = {}  # 1 = on stack, 2 = done
-    for root in sorted(allowed, key=_node_key):
-        if color.get(root):
+    Components come in completion order, which is reverse topological:
+    each after every component it has an arc into.  Also returns each
+    node's component number, -1 for nodes not reached.
+    """
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in roots:
+        if index[root] >= 0:
             continue
-        stack: list[tuple[DerivedNode, Iterator[DerivedNode]]] = [
-            (root, iter(succ[root]))
-        ]
-        color[root] = 1
-        trail = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for m in it:
-                if m not in allowed:
-                    continue
-                c = color.get(m)
-                if c == 1:
-                    return trail[trail.index(m):]
-                if c is None:
-                    color[m] = 1
-                    trail.append(m)
-                    stack.append((m, iter(succ[m])))
-                    advanced = True
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-            if not advanced:
-                color[node] = 2
-                trail.pop()
-                stack.pop()
-    return None
+                # a reached node without a component is still on the stack
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    c = len(sccs)
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = c
+                        members.append(w)
+                        if w == v:
+                            break
+                    sccs.append(members)
+    return sccs, comp
+
+
+def _cycle_from(start: int, comp: list[int], succ: list[list[int]]) -> list[int]:
+    """Follow the first arc inside start's (nontrivial) component until a
+    node repeats; return the closed walk from that node's first visit."""
+    c = comp[start]
+    seen: dict[int, int] = {}
+    walk: list[int] = []
+    v = start
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+        v = next(w for w in succ[v] if comp[w] == c)
+    return walk[seen[v]:]
+
+
+def _live_order(dg: DerivedGraph) -> tuple[list[int], list[bool]]:
+    """The live nodes (reachable from an initial node and co-reaching a
+    final one), in reverse topological order, and a live flag per node.
+
+    One Tarjan pass from the initial nodes gives reachability and the
+    components; co-reachability is then folded over the components in
+    completion order.  Raises InfinitePathSetError when a live component
+    is nontrivial, i.e. when the path set is infinite.
+    """
+    succ, final = dg.succ, dg.is_final
+    sccs, comp = _sccs(succ, [i for i, flag in enumerate(dg.is_initial) if flag])
+    live = [False] * len(succ)
+    order: list[int] = []
+    for members in sccs:
+        if any(final[v] or any(live[w] for w in succ[v]) for v in members):
+            if len(members) > 1:
+                cycle = _cycle_from(min(members), comp, succ)
+                raise InfinitePathSetError([dg.nodes[v] for v in cycle])
+            live[members[0]] = True
+            order.append(members[0])
+    return order, live
 
 
 def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     """All alternating paths with source AND target in the boundary
     (symmetric difference of the vertex sets) -- equivalently, the finite
-    maximal alternating paths.
+    maximal alternating paths, sorted by (length, flat id as strings).
 
     Raises InfinitePathSetError when some derived cycle is both reachable
     from a boundary source and co-reachable from a boundary sink, i.e. when
     the path set is infinite.
     """
     dg = derived_graph(g, h)
-    reach = _closure(dg.initial, dg.arcs)
-    preds: dict[DerivedNode, list[DerivedNode]] = {n: [] for n in dg.nodes}
-    for node, succs in dg.arcs.items():
-        for m in succs:
-            preds[m].append(node)
-    coreach = _closure(dg.final, {n: tuple(preds[n]) for n in dg.nodes})
-    live = reach & coreach
-
-    cycle = _find_cycle(live, dg.arcs)
-    if cycle is not None:
-        raise InfinitePathSetError(cycle)
-
-    paths: list[Path] = []
-    for start in sorted(dg.initial & live, key=_node_key):
-        stack: list[list[DerivedNode]] = [[start]]
-        while stack:
-            walk = stack.pop()
-            tip = walk[-1]
-            if tip in dg.final:
-                paths.append(Path(tuple(walk)))
+    _, live = _live_order(dg)
+    succ, final = dg.succ, dg.is_final
+    # per node, once: a path's flat id and sort key are concatenations
+    flat_ids = [flatten(edge.id) for _, edge in dg.nodes]
+    sort_keys = [tuple(map(str, flat)) for flat in flat_ids]
+    steps1 = [(node,) for node in dg.nodes]
+    # Depth-first over the live DAG from a virtual root whose children are
+    # the initial nodes, in ascending order.  prefix[d] is the walk's first
+    # d nodes as (steps, flat id, sort key).  Each emitted path is recorded
+    # as (steps of its prefix, last node, flat id).
+    found: list[tuple[tuple, int, tuple]] = []
+    prefix: list[tuple[tuple, tuple, tuple]] = [((), (), ())]
+    branches: list[Iterator[int]] = [(i for i, flag in enumerate(dg.is_initial) if flag)]
+    # Emission order is usually already sorted; then no sort keys are kept.
+    ordered = True
+    last: tuple = ()
+    while branches:
+        steps, flat, key = prefix[-1]
+        for w in branches[-1]:
+            if not live[w]:
                 continue
-            for m in sorted(dg.arcs[tip], key=_node_key, reverse=True):
-                if m in live:
-                    stack.append(walk + [m])
-    paths.sort(key=lambda p: (len(p), tuple(map(str, p.flat_id))))
+            if final[w]:
+                found.append((steps, w, flat + flat_ids[w]))
+                rank = (len(prefix), key + sort_keys[w])
+                if rank < last:
+                    ordered = False
+                last = rank
+            else:
+                prefix.append((steps + steps1[w], flat + flat_ids[w], key + sort_keys[w]))
+                branches.append(iter(succ[w]))
+                break
+        else:
+            prefix.pop()
+            branches.pop()
+    # The steps are built apart from the flat ids: they die with the paths,
+    # while the flat ids live on as the ids of an executed graph, and the
+    # two mixed in the allocator's pools would keep freed pools from reuse.
+    # Each record is replaced by its path, so records go as paths come.
+    paths: list = found
+    for i, (steps, w, flat) in enumerate(found):
+        path = Path(steps + steps1[w])
+        object.__setattr__(path, "flat_id", flat)  # fills the cached property
+        paths[i] = path
+    if not ordered:
+        paths.sort(key=lambda p: (len(p), tuple(map(str, p.flat_id))))
     return paths
+
+
+def count_paths(g: Graph, h: Graph) -> int:
+    """Number of boundary-to-boundary alternating paths, counted without
+    enumerating them: a sum over the live derived nodes in reverse
+    topological order, O(V + E).
+
+    Raises InfinitePathSetError exactly when `alternating_paths` does.
+    """
+    dg = derived_graph(g, h)
+    order, _ = _live_order(dg)
+    succ, final = dg.succ, dg.is_final
+    count = [0] * len(succ)
+    for v in order:
+        count[v] = 1 if final[v] else sum(count[w] for w in succ[v])
+    return sum(count[v] for v in order if dg.is_initial[v])
 
 
 def _canonical_rotation(seq: tuple[DerivedNode, ...]) -> tuple[DerivedNode, ...]:
@@ -472,54 +584,6 @@ class CycleClass:
         return len(self.steps)
 
 
-def _tarjan_sccs(nodes: Sequence[DerivedNode], succ: dict[DerivedNode, tuple[DerivedNode, ...]]) -> list[list[DerivedNode]]:
-    index: dict[DerivedNode, int] = {}
-    low: dict[DerivedNode, int] = {}
-    on_stack: set = set()
-    stack: list[DerivedNode] = []
-    sccs: list[list[DerivedNode]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[DerivedNode, Iterator[DerivedNode]]] = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for m in it:
-                if m not in index:
-                    index[m] = low[m] = counter
-                    counter += 1
-                    stack.append(m)
-                    on_stack.add(m)
-                    work.append((m, iter(succ[m])))
-                    advanced = True
-                    break
-                if m in on_stack:
-                    low[node] = min(low[node], index[m])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
 def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
     """All prime alternating-cycle classes between g and h.
 
@@ -531,26 +595,20 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
     if mode not in MODES:
         raise ValueError(f"unknown cycle mode {mode!r}")
     dg = derived_graph(g, h)
+    nodes, succ = dg.nodes, dg.succ
+    sccs, comp = _sccs(succ, range(len(succ)))
     representatives: list[tuple[DerivedNode, ...]] = []
-    for scc in _tarjan_sccs(dg.nodes, dg.arcs):
-        members = set(scc)
-        if len(scc) == 1:
+    for c, members in enumerate(sccs):
+        if len(members) == 1:
             # No self-arcs can exist (an arc needs opposite sides), so a
             # singleton component is trivial.
             continue
-        for node in scc:
-            inside = [m for m in dg.arcs[node] if m in members]
+        for v in members:
+            inside = [w for w in succ[v] if comp[w] == c]
             if len(inside) > 1:
-                raise InfiniteCycleSetError(node, inside)
-        start = min(scc, key=_node_key)
-        cycle = [start]
-        node = start
-        while True:
-            node = next(m for m in dg.arcs[node] if m in members)
-            if node == start:
-                break
-            cycle.append(node)
-        representatives.append(_canonical_rotation(tuple(cycle)))
+                raise InfiniteCycleSetError(nodes[v], [nodes[w] for w in inside])
+        cycle = _cycle_from(min(members), comp, succ)
+        representatives.append(_canonical_rotation(tuple(nodes[v] for v in cycle)))
 
     representatives.sort(key=lambda seq: tuple(_node_key(n) for n in seq))
     if mode == DIRECTED:

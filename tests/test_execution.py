@@ -139,3 +139,24 @@ class TestNormalForm:
         nested = g({"a", "b"}, [((("e",), ("f",)), "a", "b")])
         assert normal_form(flat) == normal_form(nested)
         assert graphs_equal_flattened(flat, nested)
+
+
+class TestFlattenedEqualityIgnoresOrder:
+    def test_mixed_type_ids_in_either_order(self):
+        a = g({"x", "y"}, [(1, "x", "y"), ("1", "x", "y")])
+        b = g({"x", "y"}, [("1", "x", "y"), (1, "x", "y")])
+        assert a == b
+        assert graphs_equal_flattened(a, b)
+
+    def test_ids_of_different_types_still_differ(self):
+        a = g({"x", "y"}, [(1, "x", "y")])
+        b = g({"x", "y"}, [("1", "x", "y")])
+        assert not graphs_equal_flattened(a, b)
+
+    def test_associativity_with_mixed_type_ids_and_vertices(self):
+        # Both sides have the same edges, listed in different orders; the
+        # edges' strings tie, so comparing sorted forms reported a FAIL.
+        f = g({"2"}, [("1", "2", "2"), (2, "2", "2"), (1, "2", "2")])
+        gg = g({"1", 1, 2}, [("3", 1, 1), (4, 2, "1")])
+        h = g({1}, [(5, 1, 1), (6, 1, 1), ("6", 1, 1), ("5", 1, 1)])
+        assert check_associativity(f, gg, h).passed

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,13 @@ from intgraphs.formats import (
     render_graph,
     render_project,
     to_dot,
+    vertex_token,
 )
-from intgraphs.graph import Graph, OMEGA, ExtNat
+from intgraphs.execution import execute
+from intgraphs.graph import Graph, GraphError, OMEGA, ExtNat
 from intgraphs.interaction import Project
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 class TestGraphFormat:
@@ -54,6 +59,65 @@ class TestGraphFormat:
         g = Graph({"a", "b", "c"}, [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
         _, parsed = parse_graph(render_graph("g", g))
         assert parsed == g
+
+
+def _reference_render_graph(name, graph):
+    """The straightforward renderer: tokens recomputed for every use."""
+    def token(edge_id):
+        if isinstance(edge_id, tuple):
+            return ".".join(token(x) for x in edge_id)
+        return str(edge_id)
+
+    lines = [f"graph {name}"]
+    for v in sorted(graph.vertices, key=vertex_token):
+        lines.append(f"vertex {vertex_token(v)}")
+    for e in sorted(graph.edges, key=lambda e: token(e.id)):
+        lines.append(f"edge {token(e.id)} {vertex_token(e.src)} {vertex_token(e.tgt)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderGraphOutput:
+    def test_nested_and_mixed_type_ids(self):
+        graph = Graph(
+            {"a", 1, "1", ("dom", "p"), ("cod", 2)},
+            [
+                ((("x", 1), ("1", ("y", 2.5))), "a", 1),
+                (("x", None), 1, "1"),
+                (3, ("dom", "p"), ("cod", 2)),
+                ("3", ("cod", 2), "a"),
+                ((1,), "1", "1"),
+                ("1", "a", "a"),
+                ((), "a", 1),
+            ],
+        )
+        text = render_graph("mixed", graph)
+        assert text == _reference_render_graph("mixed", graph)
+        assert text == (
+            "graph mixed\n"
+            "vertex 1\nvertex 1\nvertex a\nvertex cod:2\nvertex dom:p\n"
+            "edge  a 1\n"
+            "edge 1 1 1\n"
+            "edge 1 a a\n"
+            "edge 3 dom:p cod:2\n"
+            "edge 3 cod:2 a\n"
+            "edge x.1.1.y.2.5 a 1\n"
+            "edge x.None 1 1\n"
+        )
+
+    def test_samples_and_their_executions(self):
+        graphs = {
+            path.stem: parse_graph(path.read_text())[1]
+            for path in sorted(SAMPLES.glob("*.graph"))
+        }
+        assert graphs
+        for name, graph in graphs.items():
+            assert render_graph(name, graph) == _reference_render_graph(name, graph)
+        for f, g in itertools.product(graphs.values(), repeat=2):
+            try:
+                result = execute(f, g)
+            except GraphError:
+                continue
+            assert render_graph("r", result) == _reference_render_graph("r", result)
 
 
 class TestProjectFormat:

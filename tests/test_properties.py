@@ -35,6 +35,33 @@ def test_flatten_concatenates(parts):
     assert flatten(parts) == tuple(y for part in parts for y in flatten(part))
 
 
+MIXED_VERTICES = ["x", 1, "1"]
+mixed_edges = st.lists(
+    st.tuples(
+        st.sampled_from([1, "1", 2, "2", (1, "2"), ("1", 2)]),
+        st.sampled_from(MIXED_VERTICES),
+        st.sampled_from(MIXED_VERTICES),
+    ),
+    max_size=6,
+    unique_by=lambda edge: edge[0],
+)
+
+
+@given(mixed_edges, st.randoms())
+def test_flattened_equality_ignores_edge_order(edges, rnd):
+    shuffled = list(edges)
+    rnd.shuffle(shuffled)
+    assert graphs_equal_flattened(Graph(MIXED_VERTICES, edges), Graph(MIXED_VERTICES, shuffled))
+
+
+@given(mixed_edges, mixed_edges)
+def test_flattened_equality_is_edge_multiset_equality(a, b):
+    flat = lambda edges: sorted(repr((flatten(i), s, t)) for i, s, t in edges)
+    assert graphs_equal_flattened(
+        Graph(MIXED_VERTICES, a), Graph(MIXED_VERTICES, b)
+    ) == (flat(a) == flat(b))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_execute_is_symmetric(seed):
