@@ -32,6 +32,7 @@ from .graph import (
     GraphError,
     InfiniteCycleSetError,
     InfinitePathSetError,
+    InvariantViolationError,
     Path,
     UnknownVertexError,
     alternating_paths,

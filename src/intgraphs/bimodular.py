@@ -295,57 +295,16 @@ def bimod_compose2(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     """
     _check_compatible(f, g)
     boundary = f.graph.vertices ^ g.graph.vertices
-
-    orbit_of: dict[tuple[EdgeId, EdgeId], tuple] = {}
-    composite: dict[tuple, tuple[Vertex, Vertex, Vertex, tuple[EdgeId, EdgeId]]] = {}
-    for (v, mid), f_ids in f._edge_sets.items():
-        for (mid2, w), g_ids in g._edge_sets.items():
-            if mid2 != mid or v not in boundary or w not in boundary:
-                continue
-            group = f.groups[mid]
-            ract = f.right[(v, mid)]
-            lact = g.left[(mid, w)]
-            seen: set[tuple[EdgeId, EdgeId]] = set()
-            for e_id, e2_id in itertools.product(f_ids, g_ids):
-                if (e_id, e2_id) in seen:
-                    continue
-                orbit = set()
-                queue = [(e_id, e2_id)]
-                while queue:
-                    pair = queue.pop()
-                    if pair in orbit:
-                        continue
-                    orbit.add(pair)
-                    for b in group.elements:
-                        img = (ract[b][pair[0]], lact[group.inv(b)][pair[1]])
-                        if img not in orbit:
-                            queue.append(img)
-                seen |= orbit
-                rep = min(orbit, key=lambda p: (str(p[0]), str(p[1])))
-                key = flatten((rep[0], rep[1]))
-                composite[key] = (v, mid, w, rep)
-                for pair in orbit:
-                    orbit_of[pair] = key
-
-    edges = [
-        Edge(key, v, w)
-        for key, (v, mid, w, rep) in sorted(composite.items(), key=lambda kv: str(kv[0]))
+    bgs = (f, g)
+    starts = [
+        ((0, f.graph.edge(e_id)), (1, g.graph.edge(e2_id)))
+        for (v, mid), f_ids in f._edge_sets.items()
+        for (mid2, w), g_ids in g._edge_sets.items()
+        if mid2 == mid and v in boundary and w in boundary
+        for e_id, e2_id in itertools.product(f_ids, g_ids)
     ]
-    result_graph = Graph(boundary, edges)
-    groups = {
-        v: (f.groups[v] if v in f.graph.vertices else g.groups[v]) for v in boundary
-    }
-
-    left: dict = {}
-    right: dict = {}
-    for key, (v, mid, w, (e_id, e2_id)) in composite.items():
-        for a in groups[v].elements:
-            img = orbit_of[(f.left[(v, mid)][a][e_id], e2_id)]
-            left.setdefault((v, w), {}).setdefault(a, {})[key] = img
-        for c in groups[w].elements:
-            img = orbit_of[(e_id, g.right[(mid, w)][c][e2_id])]
-            right.setdefault((v, w), {}).setdefault(c, {})[key] = img
-    return BimodularGraph(result_graph, groups, left, right)
+    orbit_of, rep_of = _orbits(bgs, starts)
+    return _quotient_graph(bgs, orbit_of, rep_of)
 
 
 Steps = tuple[tuple[int, Edge], ...]
@@ -395,6 +354,26 @@ def _flat_id(steps: Steps) -> tuple:
     return flatten(tuple(e.id for _, e in steps))
 
 
+def _orbits(
+    bgs: tuple[BimodularGraph, BimodularGraph], starts: Iterable[Steps]
+) -> tuple[dict[Steps, tuple], dict[tuple, Steps]]:
+    """The junction-group orbits through the given paths: a map from each
+    member's steps to its orbit's edge id, and from each orbit id to its
+    least member by `_steps_key`."""
+    orbit_of: dict[Steps, tuple] = {}
+    rep_of: dict[tuple, Steps] = {}
+    for steps in starts:
+        if steps in orbit_of:
+            continue
+        orbit = _path_orbit(bgs, steps)
+        rep = min(orbit, key=_steps_key)
+        key = _flat_id(rep)
+        rep_of[key] = rep
+        for member in orbit:
+            orbit_of[member] = key
+    return orbit_of, rep_of
+
+
 def _path_quotient(
     f: BimodularGraph, g: BimodularGraph
 ) -> tuple[list[Path], dict[Steps, tuple], dict[tuple, Steps]]:
@@ -404,33 +383,20 @@ def _path_quotient(
     and a map from each orbit id to its canonical representative.
     """
     _check_compatible(f, g)
-    bgs = (f, g)
     paths = alternating_paths(f.graph, g.graph)
-    orbit_of: dict[Steps, tuple] = {}
-    rep_of: dict[tuple, Steps] = {}
-    for p in paths:
-        if p.steps in orbit_of:
-            continue
-        orbit = _path_orbit(bgs, p.steps)
-        rep = min(orbit, key=_steps_key)
-        key = _flat_id(rep)
-        rep_of[key] = rep
-        for member in orbit:
-            orbit_of[member] = key
+    orbit_of, rep_of = _orbits((f, g), [p.steps for p in paths])
     return paths, orbit_of, rep_of
 
 
-def bimod_execute(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
-    """Execution of bimodular graphs: alternating paths quotiented by the
-    junction groups, with the boundary actions descending to orbits.
-
-    With all groups trivial this degenerates to plain execution of the
-    underlying graphs.  Raises InfinitePathSetError via the same detector
-    as plain execution.
-    """
-    paths, orbit_of, rep_of = _path_quotient(f, g)
+def _quotient_graph(
+    bgs: tuple[BimodularGraph, BimodularGraph],
+    orbit_of: dict[Steps, tuple],
+    rep_of: dict[tuple, Steps],
+) -> BimodularGraph:
+    """One boundary edge per orbit, with the boundary actions descending to
+    the orbits through their representatives."""
+    f, g = bgs
     boundary = f.graph.vertices ^ g.graph.vertices
-    bgs = (f, g)
 
     edges = []
     for key, rep in sorted(rep_of.items(), key=lambda kv: str(kv[0])):
@@ -455,6 +421,18 @@ def bimod_execute(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
             img = orbit_of[rep[:-1] + ((sn, new_last),)]
             right.setdefault(pair, {}).setdefault(c, {})[key] = img
     return BimodularGraph(result_graph, groups, left, right)
+
+
+def bimod_execute(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
+    """Execution of bimodular graphs: alternating paths quotiented by the
+    junction groups, with the boundary actions descending to orbits.
+
+    With all groups trivial this degenerates to plain execution of the
+    underlying graphs.  Raises InfinitePathSetError via the same detector
+    as plain execution.
+    """
+    _, orbit_of, rep_of = _path_quotient(f, g)
+    return _quotient_graph((f, g), orbit_of, rep_of)
 
 
 def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:

@@ -8,11 +8,14 @@ union of A and B (the segments) plus a count of closed circles.  Boundary
 points carry side tags, so A and B may reuse labels, and a pair may sit
 entirely inside one side.
 
-Composition glues along the shared middle object by chain-chasing: from
-each outer boundary point, alternately follow the two matchings through
-the middle until another outer point is reached.  Middle points not on any
-such open chain lie on closed alternating chains, each of which becomes a
-new circle.
+Each morphism keeps its matching as a point -> mate table, filled while
+the pairs are validated.  Composition glues along the shared middle object
+by chain-chasing in the operands' own tagged points: from each outer
+boundary point, alternately follow the two tables through the middle (m's
+target point x is n's source point x) until another outer point is
+reached, so the composite's pairs come out already tagged.  Middle points
+not on any such open chain lie on closed alternating chains, each of which
+becomes a new circle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .graph import GraphError
+from .graph import GraphError, InvariantViolationError
 from .interaction import InterfaceMismatchError
 
 SRC = "src"
@@ -56,28 +59,28 @@ class Cob0Morphism:
         points = {source_point(a) for a in self.source} | {
             target_point(b) for b in self.target
         }
-        seen: set = set()
+        mates: dict = {}
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ValueError(f"pair {set(pair)!r} must contain two distinct points")
             for p in pair:
                 if p not in points:
                     raise ValueError(f"pair references unknown boundary point {p!r}")
-                if p in seen:
+                if p in mates:
                     raise ValueError(f"boundary point {p!r} occurs in two pairs")
-                seen.add(p)
-        if seen != points:
-            missing = points - seen
+            p, q = pair
+            mates[p] = q
+            mates[q] = p
+        if mates.keys() != points:
+            missing = points - mates.keys()
             raise ValueError(
                 f"matching must cover every boundary point, missing {sorted(map(str, missing))}"
             )
+        # Not a field, so equality, hashing and repr still see only the pairs.
+        object.__setattr__(self, "_mates", mates)
 
     def mate(self, point: TaggedPoint) -> TaggedPoint:
-        for pair in self.pairs:
-            if point in pair:
-                (other,) = pair - {point}
-                return other
-        raise KeyError(point)
+        return self._mates[point]
 
 
 def _pairs_from(pairs: Iterable[Iterable[TaggedPoint]]) -> frozenset:
@@ -103,35 +106,34 @@ def cob0_identity(points: Iterable[Any]) -> Cob0Morphism:
     )
 
 
-def _involution(m: Cob0Morphism, rename_src, rename_tgt) -> dict:
-    """The matching as a point -> point map, with boundary points renamed
-    into the composite's unified namespace."""
-    send = lambda p: rename_src(p[1]) if p[0] == SRC else rename_tgt(p[1])
-    table: dict = {}
-    for pair in m.pairs:
-        p, q = tuple(pair)
-        table[send(p)] = send(q)
-        table[send(q)] = send(p)
-    return table
+def _check_interface(m: Cob0Morphism, n: Cob0Morphism) -> None:
+    if m.target != n.source:
+        raise InterfaceMismatchError(
+            f"target {sorted(map(str, m.target))} does not match "
+            f"source {sorted(map(str, n.source))}"
+        )
 
 
 def _chase(
-    m_inv: dict, n_inv: dict, start, start_in_m: bool
-) -> tuple[Any, list[tuple[str, Any, Any]]]:
-    """Follow alternating matchings from an outer point until another outer
-    point is reached.  Returns the endpoint and the chain of segments as
-    (tag, point, point) steps."""
-    segments: list[tuple[str, Any, Any]] = []
+    m: Cob0Morphism, n: Cob0Morphism, start: TaggedPoint
+) -> list[tuple[str, TaggedPoint, TaggedPoint]]:
+    """Follow the two matchings from an outer point (a source point of m or
+    a target point of n) to the other end of its chain.
+
+    Returns the chain as ("M" | "N", point, mate) steps in each operand's
+    own points; the last step's mate is the other end.
+    """
+    steps = []
+    in_m = start[0] == SRC
     cur = start
-    use_m = start_in_m
     while True:
-        table, tag = (m_inv, "M") if use_m else (n_inv, "N")
-        nxt = table[cur]
-        segments.append((tag, cur, nxt))
-        if not (isinstance(nxt, tuple) and nxt[0] == "B"):
-            return nxt, segments
-        cur = nxt
-        use_m = not use_m
+        nxt = (m if in_m else n)._mates[cur]
+        steps.append(("M" if in_m else "N", cur, nxt))
+        if nxt[0] == (SRC if in_m else TGT):
+            return steps
+        # the same middle point, as the other operand tags it
+        cur = (SRC if in_m else TGT, nxt[1])
+        in_m = not in_m
 
 
 def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
@@ -140,50 +142,35 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     Open chains through the middle become the composite's pairs; closed
     chains each contribute one circle on top of the operands' counts.
     """
-    if m.target != n.source:
-        raise InterfaceMismatchError(
-            f"target {sorted(map(str, m.target))} does not match "
-            f"source {sorted(map(str, n.source))}"
-        )
-    a_pt = lambda x: ("A", x)
-    b_pt = lambda x: ("B", x)
-    c_pt = lambda x: ("C", x)
-    m_inv = _involution(m, a_pt, b_pt)
-    n_inv = _involution(n, b_pt, c_pt)
-
-    outer = [a_pt(x) for x in sorted(m.source, key=str)] + [
-        c_pt(x) for x in sorted(n.target, key=str)
-    ]
-    visited: set = set()
+    _check_interface(m, n)
+    ends: set = set()
+    walked: set = set()  # middle labels already on some chain
     new_pairs = []
-    for p in outer:
-        if p in visited:
+    for p in [source_point(a) for a in m.source] + [target_point(c) for c in n.target]:
+        if p in ends:
             continue
-        end, segments = _chase(m_inv, n_inv, p, start_in_m=(p[0] == "A"))
-        visited.update({p, end})
-        visited.update(pt for _, x, y in segments for pt in (x, y))
-        new_pairs.append((p, end))
+        steps = _chase(m, n, p)
+        end = steps[-1][2]
+        ends.add(end)
+        walked.update(q[1] for _, _, q in steps[:-1])
+        new_pairs.append(frozenset((p, end)))
 
     closed = 0
-    for b in sorted((b_pt(x) for x in m.target), key=str):
-        if b in visited:
+    for b in m.target:
+        if b in walked:
             continue
         closed += 1
         cur = b
-        use_m = True
         while True:
-            visited.add(cur)
-            cur = (m_inv if use_m else n_inv)[cur]
-            use_m = not use_m
-            if cur == b and use_m:
+            walked.add(cur)
+            cur = m._mates[target_point(cur)][1]
+            walked.add(cur)
+            cur = n._mates[source_point(cur)][1]
+            if cur == b:
                 break
 
-    untag = lambda p: source_point(p[1]) if p[0] == "A" else target_point(p[1])
     return Cob0Morphism(
-        m.source,
-        n.target,
-        _pairs_from((untag(p), untag(q)) for p, q in new_pairs),
-        m.circles + n.circles + closed,
+        m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed
     )
 
 
@@ -197,9 +184,11 @@ class AlternatingDecomposition:
     segments: tuple[tuple[str, frozenset], ...]
 
     def __post_init__(self) -> None:
-        assert self.segments
+        if not self.segments:
+            raise InvariantViolationError("a decomposition has at least one segment")
         tags = [tag for tag, _ in self.segments]
-        assert all(x != y for x, y in zip(tags, tags[1:])), "tags must alternate"
+        if any(x == y for x, y in zip(tags, tags[1:])):
+            raise InvariantViolationError("tags must alternate")
 
     @property
     def tags(self) -> tuple[str, ...]:
@@ -211,31 +200,20 @@ def decompose_segment(
 ) -> AlternatingDecomposition:
     """Recover the unique alternating chain of m/n segments realising one
     pair of the composite m;n."""
-    composite = cob0_compose(m, n)
+    _check_interface(m, n)
     pair = frozenset(composite_pair)
-    if pair not in composite.pairs:
+    outer = [
+        p for p in pair
+        if (p in m._mates and p[0] == SRC) or (p in n._mates and p[0] == TGT)
+    ]
+    if len(outer) != 2:
+        raise NotACompositeError(f"{set(pair)!r} is not two outer boundary points")
+    start = min(pair, key=str)
+    steps = _chase(m, n, start)
+    if pair != {start, steps[-1][2]}:
         raise NotACompositeError(f"{set(pair)!r} is not a pair of the composite")
-
-    a_pt = lambda x: ("A", x)
-    b_pt = lambda x: ("B", x)
-    c_pt = lambda x: ("C", x)
-    m_inv = _involution(m, a_pt, b_pt)
-    n_inv = _involution(n, b_pt, c_pt)
-
-    start_tagged = min(pair, key=str)
-    start = a_pt(start_tagged[1]) if start_tagged[0] == SRC else c_pt(start_tagged[1])
-    _, segments = _chase(m_inv, n_inv, start, start_in_m=(start[0] == "A"))
-
-    def original(tag: str, x, y) -> frozenset:
-        back = (
-            (lambda p: source_point(p[1]) if p[0] == "A" else target_point(p[1]))
-            if tag == "M"
-            else (lambda p: source_point(p[1]) if p[0] == "B" else target_point(p[1]))
-        )
-        return frozenset({back(x), back(y)})
-
     return AlternatingDecomposition(
-        tuple((tag, original(tag, x, y)) for tag, x, y in segments)
+        tuple((tag, frozenset((p, q))) for tag, p, q in steps)
     )
 
 

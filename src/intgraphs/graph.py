@@ -52,6 +52,12 @@ class UnknownVertexError(GraphError):
     pass
 
 
+class InvariantViolationError(GraphError):
+    """A value was built that breaks a structural invariant of its type,
+    such as a path whose edges do not compose.  Raised rather than
+    asserted, so the checks also hold under ``python -O``."""
+
+
 class InfinitePathSetError(GraphError):
     """The boundary-to-boundary alternating paths form an infinite set.
 
@@ -254,16 +260,19 @@ class Path:
     """An alternating path: edges tagged 0/1 by owning graph.
 
     Consecutive steps must compose (target meets source) and alternate
-    sides; both are asserted on construction.
+    sides; both are checked on construction (InvariantViolationError).
     """
 
     steps: tuple[tuple[int, Edge], ...]
 
     def __post_init__(self) -> None:
-        assert self.steps, "a path has at least one edge"
+        if not self.steps:
+            raise InvariantViolationError("a path has at least one edge")
         for (sa, ea), (sb, eb) in zip(self.steps, self.steps[1:]):
-            assert ea.tgt == eb.src, f"edges {ea.id!r}, {eb.id!r} do not compose"
-            assert sa != sb, f"edges {ea.id!r}, {eb.id!r} do not alternate"
+            if ea.tgt != eb.src:
+                raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not compose")
+            if sa == sb:
+                raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not alternate")
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -562,16 +571,22 @@ class CycleClass:
     mode: str
 
     def __post_init__(self) -> None:
-        assert self.mode in MODES
+        if self.mode not in MODES:
+            raise InvariantViolationError(f"unknown cycle mode {self.mode!r}")
         n = len(self.steps)
-        assert n >= 1
+        if n < 1:
+            raise InvariantViolationError("a cycle has at least one edge")
         for i in range(n):
             sa, ea = self.steps[i]
             sb, eb = self.steps[(i + 1) % n]
-            assert ea.tgt == eb.src, "cycle steps must chain cyclically"
-            assert sa != sb, "cycle steps must alternate cyclically"
-        assert self.steps == _canonical_rotation(self.steps), "not canonical"
-        assert not _is_periodic(self.steps), "cycle is a proper power"
+            if ea.tgt != eb.src:
+                raise InvariantViolationError("cycle steps must chain cyclically")
+            if sa == sb:
+                raise InvariantViolationError("cycle steps must alternate cyclically")
+        if self.steps != _canonical_rotation(self.steps):
+            raise InvariantViolationError("not canonical")
+        if _is_periodic(self.steps):
+            raise InvariantViolationError("cycle is a proper power")
 
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
@@ -630,7 +645,8 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
         ]
         # two distinct partners would be positionwise-parallel and splice
         # into a component with two simple cycles, contradicting finiteness
-        assert len(partners) <= 1
+        if len(partners) > 1:
+            raise InvariantViolationError("a cycle class has two reversal partners")
         for j in partners:
             used[j] = True
         # representatives are sorted, so seq is the least canonical form of

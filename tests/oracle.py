@@ -1,17 +1,21 @@
-"""Brute-force oracles for alternating-path and prime-cycle finiteness.
+"""Brute-force oracles for alternating-path and prime-cycle finiteness,
+and for gluing cobordisms.
 
 Deliberately independent of the library's derived-graph analysis: the path
 oracle runs a breadth-first search over (tip edge, visited set)
 configurations with a pigeonhole rule for infiniteness, and the cycle
 oracle enumerates simple alternating cycles directly, declaring the cycle
 set infinite as soon as some edge lies on two distinct simple cycles.
-Both work straight off the two graphs' edge lists.
+Both work straight off the two graphs' edge lists.  The gluing oracle
+takes connected components of the union of the two matchings instead of
+chasing chains.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from intgraphs.cob0 import SRC, TGT, Cob0Morphism
 from intgraphs.graph import Graph
 
 INFINITE = "infinite"
@@ -144,3 +148,41 @@ def oracle_cycles(g: Graph, h: Graph):
         _canonical(tuple((s, e.id) for s, e in cycle)) for cycle in cycles
     )
     return FINITE, canon
+
+
+def oracle_cob0_compose(m: Cob0Morphism, n: Cob0Morphism):
+    """Return (pairs, circles) of the glued cobordism m;n.
+
+    Builds one undirected graph on A + B + C (m: A -> B, n: B -> C) whose
+    edges are the pairs of both matchings.  A component holding outer
+    points (of A or C) becomes a pair of the composite; a component with
+    none becomes a circle.
+    """
+    place = ({SRC: "A", TGT: "B"}, {SRC: "B", TGT: "C"})
+    adj: dict = {}
+    for side, mor in enumerate((m, n)):
+        for pair in mor.pairs:
+            p, q = ((place[side][tag], label) for tag, label in pair)
+            adj.setdefault(p, []).append(q)
+            adj.setdefault(q, []).append(p)
+    back = {"A": SRC, "C": TGT}
+    pairs = set()
+    circles = m.circles + n.circles
+    seen: set = set()
+    for start in adj:
+        if start in seen:
+            continue
+        component = {start}
+        stack = [start]
+        while stack:
+            for other in adj[stack.pop()]:
+                if other not in component:
+                    component.add(other)
+                    stack.append(other)
+        seen |= component
+        outer = frozenset((back[where], label) for where, label in component if where != "B")
+        if outer:
+            pairs.add(outer)
+        else:
+            circles += 1
+    return frozenset(pairs), circles

@@ -16,7 +16,10 @@ from intgraphs.cob0 import (
     source_point as sp,
     target_point as tp,
 )
+from intgraphs.graph import InvariantViolationError
 from intgraphs.interaction import InterfaceMismatchError
+
+from oracle import oracle_cob0_compose
 
 
 def cap_cup_pair():
@@ -53,6 +56,12 @@ class TestConstruction:
     def test_side_tags_let_labels_repeat(self):
         m = cob0_morphism({"x"}, {"x"}, [(sp("x"), tp("x"))])
         assert m.mate(sp("x")) == tp("x")
+
+    def test_mate_of_unknown_point_raises_key_error(self):
+        m = cob0_morphism({"x"}, {"x"}, [(sp("x"), tp("x"))])
+        for point in (sp("y"), tp(1), "x"):
+            with pytest.raises(KeyError):
+                m.mate(point)
 
 
 class TestCompose:
@@ -148,6 +157,41 @@ class TestDecompose:
         with pytest.raises(NotACompositeError):
             decompose_segment(m, n, frozenset({sp("a1"), tp("c1")}))
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            {sp("a1"), sp("zz")},  # unknown point
+            {sp("a1"), 7},  # not a tagged point at all
+            {sp("a1")},  # one point
+            {sp("a1"), sp("a2"), tp("c1")},  # three points
+            {sp("a1"), tp("b1")},  # m's target point lies in the middle
+            {sp("b1"), tp("c1")},  # n's source point lies in the middle
+        ],
+    )
+    def test_pairs_of_non_outer_points_rejected(self, pair):
+        m, n = cap_cup_pair()
+        with pytest.raises(NotACompositeError):
+            decompose_segment(m, n, frozenset(pair))
+
+    def test_interface_mismatch(self):
+        m, _ = cap_cup_pair()
+        with pytest.raises(InterfaceMismatchError):
+            decompose_segment(m, cob0_identity({"z"}), frozenset({sp("a1"), sp("a2")}))
+
+    def test_end_is_the_chase_endpoint_not_a_point_of_the_last_segment(self):
+        # The chase from a ends at z through the middle label b, so its last
+        # segment is n's (src b, tgt z).  The outer point (src b) of m has
+        # the same tagged form, yet {a, b} is not a pair of the composite.
+        m = cob0_morphism(
+            {"a", "b"}, {"b", "q"}, [(sp("a"), tp("b")), (sp("b"), tp("q"))]
+        )
+        n = cob0_morphism(
+            {"b", "q"}, {"z", "w"}, [(sp("b"), tp("z")), (sp("q"), tp("w"))]
+        )
+        assert frozenset({sp("a"), tp("z")}) in cob0_compose(m, n).pairs
+        with pytest.raises(NotACompositeError):
+            decompose_segment(m, n, frozenset({sp("a"), sp("b")}))
+
     def test_zigzag_decomposition(self):
         m = cob0_morphism(
             {"a1"},
@@ -173,7 +217,7 @@ class TestDecompose:
         assert decompose_segment(m, n, pair) == dec
 
     def test_alternation_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantViolationError):
             AlternatingDecomposition((("M", frozenset({1, 2})), ("M", frozenset({3, 4}))))
 
     def test_every_composite_pair_decomposes(self):
@@ -220,3 +264,36 @@ class TestCategoryLawsSpot:
             assert cob0_compose(cob0_compose(m, n), p) == cob0_compose(
                 m, cob0_compose(n, p)
             )
+
+
+class TestAgainstOracle:
+    def test_compose_matches_components_on_shared_labels(self):
+        # A, B and C draw from one pool, so labels (1 and "1" among them)
+        # repeat across the three objects of every composite.
+        pool = (1, "1", "a", "b")
+        objects = [frozenset(c) for k in range(4) for c in itertools.combinations(pool, k)]
+        compared = 0
+        for a, b, c in itertools.product(objects, repeat=3):
+            for m in cob0_enumerate(a, b, 0):
+                for n in cob0_enumerate(b, c, 0):
+                    comp = cob0_compose(m, n)
+                    assert (comp.source, comp.target) == (a, c)
+                    assert (comp.pairs, comp.circles) == oracle_cob0_compose(m, n)
+                    compared += 1
+        assert compared == 23975
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            ((), (1, "1", "a", "b"), ()),
+            ((1,), (1, "1", "a", "b"), ("1", "a", "b")),
+            ((), ("0", 1, 2, 3, 4, 5), ()),
+        ],
+    )
+    def test_long_chains_through_larger_middles(self, a, b, c):
+        # Middles of size <= 3 hold at most one pair of each operand on a
+        # closed chain; these carry longer open and closed chains.
+        for m in cob0_enumerate(a, b, 0):
+            for n in cob0_enumerate(b, c, 0):
+                comp = cob0_compose(m, n)
+                assert (comp.pairs, comp.circles) == oracle_cob0_compose(m, n)

@@ -12,6 +12,7 @@ from intgraphs.graph import (
     Graph,
     InfiniteCycleSetError,
     InfinitePathSetError,
+    InvariantViolationError,
     Path,
     UnknownVertexError,
     alternating_paths,
@@ -261,11 +262,11 @@ class TestPathInvariants:
     def test_noncomposable_rejected(self):
         e = Edge("e", "a", "b")
         f = Edge("f", "c", "d")
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantViolationError):
             Path(((0, e), (1, f)))
 
     def test_nonalternating_rejected(self):
         e = Edge("e", "a", "b")
         f = Edge("f", "b", "c")
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantViolationError):
             Path(((0, e), (0, f)))
