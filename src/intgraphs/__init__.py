@@ -85,6 +85,7 @@ from .bimodular import (
     FiniteGroup,
     IncompatibleActionsError,
     IncompatibleGroupsError,
+    OrbitCapExceededError,
     bimod_compose2,
     bimod_execute,
     check_well_defined,

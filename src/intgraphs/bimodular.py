@@ -41,6 +41,10 @@ class IncompatibleActionsError(GraphError):
     pass
 
 
+class OrbitCapExceededError(GraphError):
+    """An exhaustive orbit computation would pass ``_ORBIT_CAP`` elements."""
+
+
 _ORBIT_CAP = 500_000
 
 
@@ -340,7 +344,9 @@ def _path_orbit(bgs: tuple[BimodularGraph, BimodularGraph], start: Steps) -> fro
                 img = _act_at_junction(bgs, cur, i, b)
                 if img not in seen:
                     if len(seen) >= _ORBIT_CAP:
-                        raise RuntimeError("path orbit exceeded size cap")
+                        raise OrbitCapExceededError(
+                            f"path orbit exceeded {_ORBIT_CAP} elements"
+                        )
                     seen.add(img)
                     queue.append(img)
     return frozenset(seen)
@@ -452,7 +458,10 @@ def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:
         for grp in junctions:
             total *= grp.order
         if total > _ORBIT_CAP:
-            raise RuntimeError("junction-group product too large for exhaustive check")
+            raise OrbitCapExceededError(
+                f"junction-group product {total} exceeds {_ORBIT_CAP}; too large "
+                "for an exhaustive check"
+            )
         for assignment in itertools.product(*(grp.elements for grp in junctions)):
             cur = p.steps
             for i, b in enumerate(assignment, start=1):

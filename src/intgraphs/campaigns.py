@@ -4,21 +4,24 @@ Randomized and exhaustive verification campaigns.
 Each campaign runs many independent trials of one identity check and
 aggregates verdicts.  All randomness flows from a single seed through a
 per-trial generator keyed by (seed, trial index), so runs are reproducible
-and trials are order-independent.  Instances whose path or cycle sets come
-out infinite are counted as skips, never silently dropped.
+and trials are order-independent.  Every campaign, random or exhaustive,
+feeds a lazy stream of cases to one loop (`_campaign`), which counts them,
+keeps the first counterexample and times the run.  Instances whose path or
+cycle sets come out infinite are counted as skips, never silently dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from .bimodular import BimodularGraph, bimod_execute, check_well_defined, cyclic_group
 from .cob0 import cob0_compose, cob0_enumerate, cob0_identity
 from .execution import (
-    CheckReport,
     check_associativity,
     check_trefoil,
     execute,
@@ -146,17 +149,20 @@ def random_int_morphism(
     return IntMorphism(dom, cod, Graph(vertices, edges))
 
 
-def _campaign(name: str, trials: int, seed: int, run_one) -> CampaignResult:
-    result = CampaignResult(name=name, trials=trials)
+def _campaign(name: str, cases: Iterable[Callable[[], tuple]]) -> CampaignResult:
+    """The one campaign loop.  Each case is a zero-argument check returning
+    (passed, replay); ``replay()`` renders the instance and is called only
+    for the first failure.  Cases are drawn lazily, one at a time."""
+    result = CampaignResult(name=name)
     start = time.perf_counter()
-    for index in range(trials):
-        rng = trial_rng(seed, index)
+    for check in cases:
+        result.trials += 1
         try:
-            report, replay = run_one(rng)
+            passed, replay = check()
         except (InfinitePathSetError, InfiniteCycleSetError):
             result.skipped += 1
             continue
-        if report.passed:
+        if passed:
             result.passed += 1
         else:
             result.failed += 1
@@ -166,10 +172,17 @@ def _campaign(name: str, trials: int, seed: int, run_one) -> CampaignResult:
     return result
 
 
+def _seeded(trials: int, seed: int, run_one) -> Iterator[Callable[[], tuple]]:
+    """The cases of a random campaign: ``run_one`` on each trial's generator."""
+    return (functools.partial(run_one, trial_rng(seed, i)) for i in range(trials))
+
+
+def _render_all(render, names: str, items) -> str:
+    return "\n".join(render(name, item) for name, item in zip(names, items))
+
+
 def _render_triple(f: Graph, g: Graph, h: Graph) -> str:
-    return (
-        render_graph("F", f) + "\n" + render_graph("G", g) + "\n" + render_graph("H", h)
-    )
+    return _render_all(render_graph, "FGH", (f, g, h))
 
 
 def campaign_associativity(
@@ -177,10 +190,9 @@ def campaign_associativity(
 ) -> CampaignResult:
     def run_one(rng):
         f, g, h = random_triple(rng, max_vertices, max_edges)
-        report = check_associativity(f, g, h)
-        return report, lambda: _render_triple(f, g, h)
+        return check_associativity(f, g, h).passed, lambda: _render_triple(f, g, h)
 
-    return _campaign("associativity", trials, seed, run_one)
+    return _campaign("associativity", _seeded(trials, seed, run_one))
 
 
 def campaign_trefoil(
@@ -192,65 +204,53 @@ def campaign_trefoil(
 ) -> CampaignResult:
     def run_one(rng):
         f, g, h = random_triple(rng, max_vertices, max_edges)
-        report = check_trefoil(f, g, h, mode)
-        return report, lambda: _render_triple(f, g, h)
+        return check_trefoil(f, g, h, mode).passed, lambda: _render_triple(f, g, h)
 
-    return _campaign("trefoil", trials, seed, run_one)
+    return _campaign("trefoil", _seeded(trials, seed, run_one))
 
 
-def _objects_up_to(bound: int) -> list[frozenset]:
-    return [frozenset(f"p{i}" for i in range(k)) for k in range(bound + 1)]
+def _hom_sets(bound: int, max_circles: int) -> tuple[list[frozenset], dict]:
+    """Objects of size <= bound and every hom-set between them."""
+    objects = [frozenset(f"p{i}" for i in range(k)) for k in range(bound + 1)]
+    homs = {
+        (a, b): cob0_enumerate(a, b, max_circles)
+        for a, b in itertools.product(objects, repeat=2)
+    }
+    return objects, homs
+
+
+def _identity_laws(a: frozenset, b: frozenset, m) -> tuple:
+    ok = (
+        cob0_compose(cob0_identity(a), m) == m
+        and cob0_compose(m, cob0_identity(b)) == m
+    )
+    return ok, functools.partial(render_cobordism, "M", m)
+
+
+def _gluing_associative(m, n, p) -> tuple:
+    ok = cob0_compose(cob0_compose(m, n), p) == cob0_compose(m, cob0_compose(n, p))
+    return ok, functools.partial(_render_all, render_cobordism, "MNP", (m, n, p))
 
 
 def campaign_cob0_laws(bound: int = 3, max_circles: int = 1) -> CampaignResult:
     """Exhaustive category laws: both identity laws on every morphism, and
     associativity of gluing (matching and circle arithmetic) over all
     composable triples with every object of size <= bound."""
-    result = CampaignResult(name="cob0-laws")
-    start = time.perf_counter()
-    objects = _objects_up_to(bound)
-    homs = {
-        (a, b): cob0_enumerate(a, b, max_circles)
-        for a, b in itertools.product(objects, repeat=2)
-    }
-    assoc_checked = 0
-    ident_checked = 0
-    for (a, b), morphisms in homs.items():
-        for m in morphisms:
-            result.trials += 1
-            ident_checked += 1
-            if (
-                cob0_compose(cob0_identity(a), m) == m
-                and cob0_compose(m, cob0_identity(b)) == m
-            ):
-                result.passed += 1
-            else:
-                result.failed += 1
-                if result.counterexample is None:
-                    result.counterexample = render_cobordism("M", m)
-    for a, b, c, d in itertools.product(objects, repeat=4):
-        if not (homs[(a, b)] and homs[(b, c)] and homs[(c, d)]):
-            continue
-        for m, n, p in itertools.product(homs[(a, b)], homs[(b, c)], homs[(c, d)]):
-            result.trials += 1
-            assoc_checked += 1
-            if cob0_compose(cob0_compose(m, n), p) == cob0_compose(
-                m, cob0_compose(n, p)
-            ):
-                result.passed += 1
-            else:
-                result.failed += 1
-                if result.counterexample is None:
-                    result.counterexample = (
-                        render_cobordism("M", m)
-                        + "\n"
-                        + render_cobordism("N", n)
-                        + "\n"
-                        + render_cobordism("P", p)
-                    )
-    result.notes["associativity_triples"] = assoc_checked
-    result.notes["identity_morphisms"] = ident_checked
-    result.elapsed = time.perf_counter() - start
+    objects, homs = _hom_sets(bound, max_circles)
+    identities = (
+        functools.partial(_identity_laws, a, b, m)
+        for (a, b), morphisms in homs.items()
+        for m in morphisms
+    )
+    triples = (
+        functools.partial(_gluing_associative, m, n, p)
+        for a, b, c, d in itertools.product(objects, repeat=4)
+        for m, n, p in itertools.product(homs[(a, b)], homs[(b, c)], homs[(c, d)])
+    )
+    result = _campaign("cob0-laws", itertools.chain(identities, triples))
+    morphisms = sum(map(len, homs.values()))
+    result.notes["identity_morphisms"] = morphisms
+    result.notes["associativity_triples"] = result.trials - morphisms
     return result
 
 
@@ -258,55 +258,50 @@ def campaign_functor(bound: int = 3, max_circles: int = 2) -> CampaignResult:
     """Exhaustive functoriality over composable pairs: graph equality and
     the circle-count equation, with directed = 2 x unoriented demanded on
     every composition."""
-    result = CampaignResult(name="functor")
-    start = time.perf_counter()
-    objects = _objects_up_to(bound)
-    two_to_one_all = True
-    for a, b, c in itertools.product(objects, repeat=3):
-        for m in cob0_enumerate(a, b, max_circles):
-            for n in cob0_enumerate(b, c, max_circles):
-                result.trials += 1
-                report = check_functoriality(m, n)
-                two_to_one = report.details["directed_is_twice_unoriented"]
-                two_to_one_all = two_to_one_all and two_to_one
-                if report.passed and two_to_one:
-                    result.passed += 1
-                else:
-                    result.failed += 1
-                    if result.counterexample is None:
-                        result.counterexample = (
-                            render_cobordism("M", m) + "\n" + render_cobordism("N", n)
-                        )
-    result.notes["directed_is_twice_unoriented"] = two_to_one_all
-    result.elapsed = time.perf_counter() - start
+    objects, homs = _hom_sets(bound, max_circles)
+    twice_everywhere = True
+
+    def check(m, n):
+        nonlocal twice_everywhere
+        report = check_functoriality(m, n)
+        twice = report.details["directed_is_twice_unoriented"]
+        twice_everywhere = twice_everywhere and twice
+        replay = functools.partial(_render_all, render_cobordism, "MN", (m, n))
+        return report.passed and twice, replay
+
+    pairs = (
+        functools.partial(check, m, n)
+        for a, b, c in itertools.product(objects, repeat=3)
+        for m, n in itertools.product(homs[(a, b)], homs[(b, c)])
+    )
+    result = _campaign("functor", pairs)
+    result.notes["directed_is_twice_unoriented"] = twice_everywhere
     return result
 
 
 def campaign_faithful(total_bound: int = 6, max_circles: int = 2) -> CampaignResult:
     """Injectivity of the wagered functor on every hom-set with
     |A| + |B| <= total_bound, recording image counts per boundary size."""
-    result = CampaignResult(name="faithful")
-    start = time.perf_counter()
     images_by_size: dict[int, int] = {}
-    for total in range(0, total_bound + 1):
-        for a_size in range(0, total + 1):
-            b_size = total - a_size
-            a = frozenset(f"a{i}" for i in range(a_size))
-            b = frozenset(f"b{i}" for i in range(b_size))
-            report = check_faithfulness(a, b, max_circles)
-            result.trials += 1
-            if report.passed:
-                result.passed += 1
-            else:
-                result.failed += 1
-                if result.counterexample is None:
-                    result.counterexample = report.render_text()
-            if report.details["hom_size"]:
-                images_by_size[total] = max(
-                    images_by_size.get(total, 0), report.details["distinct_images"]
-                )
+
+    def check(a_size: int, b_size: int):
+        a = frozenset(f"a{i}" for i in range(a_size))
+        b = frozenset(f"b{i}" for i in range(b_size))
+        report = check_faithfulness(a, b, max_circles)
+        if report.details["hom_size"]:
+            total = a_size + b_size
+            images_by_size[total] = max(
+                images_by_size.get(total, 0), report.details["distinct_images"]
+            )
+        return report.passed, report.render_text
+
+    hom_sets = (
+        functools.partial(check, a_size, total - a_size)
+        for total in range(total_bound + 1)
+        for a_size in range(total + 1)
+    )
+    result = _campaign("faithful", hom_sets)
     result.notes["images_by_boundary_size"] = dict(sorted(images_by_size.items()))
-    result.elapsed = time.perf_counter() - start
     return result
 
 
@@ -319,15 +314,10 @@ def campaign_bimod_degeneracy(
     def run_one(rng):
         f, g = random_pair(rng, max_vertices, max_edges)
         result = bimod_execute(BimodularGraph(f), BimodularGraph(g))
-        plain = execute(f, g)
-        ok = graphs_equal_flattened(result.graph, plain)
+        ok = graphs_equal_flattened(result.graph, execute(f, g))
+        return ok, lambda: _render_all(render_graph, "FG", (f, g))
 
-        def replay():
-            return render_graph("F", f) + "\n" + render_graph("G", g)
-
-        return CheckReport("bimod-degeneracy", ok, {}), replay
-
-    return _campaign("bimod-degeneracy", trials, seed, run_one)
+    return _campaign("bimod-degeneracy", _seeded(trials, seed, run_one))
 
 
 def _all_perms(ids: list) -> list[dict]:
@@ -413,10 +403,6 @@ def campaign_bimod_well_defined(
         report = check_well_defined(bf, bg)
         # executing also re-validates the descended boundary actions
         bimod_execute(bf, bg)
+        return report.passed, lambda: _render_all(render_bimodular, "FG", (bf, bg))
 
-        def replay():
-            return render_bimodular("F", bf) + "\n" + render_bimodular("G", bg)
-
-        return report, replay
-
-    return _campaign("bimod-well-defined", trials, seed, run_one)
+    return _campaign("bimod-well-defined", _seeded(trials, seed, run_one))

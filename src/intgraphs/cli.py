@@ -103,6 +103,25 @@ def _cmd_cob(args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
+def _at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _bound(args, keyword: str) -> dict:
+    """The exhaustive bound, passed only when given: the default lives in
+    the campaign's signature."""
+    return {} if args.exhaustive_bound is None else {keyword: args.exhaustive_bound}
+
+
 _CHECKS = {
     "assoc": lambda args: campaign_associativity(
         trials=args.trials, seed=args.seed,
@@ -112,9 +131,9 @@ _CHECKS = {
         trials=args.trials, seed=args.seed,
         max_vertices=args.max_vertices, max_edges=args.max_edges,
     ),
-    "cob0-laws": lambda args: campaign_cob0_laws(bound=args.exhaustive_bound or 3),
-    "functor": lambda args: campaign_functor(bound=args.exhaustive_bound or 3),
-    "faithful": lambda args: campaign_faithful(total_bound=args.exhaustive_bound or 6),
+    "cob0-laws": lambda args: campaign_cob0_laws(**_bound(args, "bound")),
+    "functor": lambda args: campaign_functor(**_bound(args, "bound")),
+    "faithful": lambda args: campaign_faithful(**_bound(args, "total_bound")),
     "bimod-degeneracy": lambda args: campaign_bimod_degeneracy(
         trials=args.trials, seed=args.seed,
         max_vertices=min(args.max_vertices, 5), max_edges=min(args.max_edges, 6),
@@ -182,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification campaign")
     p.add_argument("property", choices=sorted(_CHECKS))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--exhaustive-bound", type=int, default=None)
+    p.add_argument("--max-vertices", type=_at_least(1), default=8)
+    p.add_argument("--max-edges", type=_at_least(1), default=8)
+    p.add_argument("--exhaustive-bound", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -22,6 +22,7 @@ from typing import Any
 from .graph import (
     DIRECTED,
     OMEGA,
+    DuplicateEdgeIdError,
     ExtNat,
     Graph,
     GraphError,
@@ -40,11 +41,30 @@ def execute(g: Graph, h: Graph) -> Graph:
     """Plug g and h together: vertices are the symmetric difference, edges
     the boundary-to-boundary alternating paths (flattened ids).
 
+    Precondition: g and h have disjoint base edge ids, so that every path's
+    flattened id is unique.  It is not checked up front; a pair that shares
+    ids but still gives distinct flat ids (e: a -> m in g, e: m -> b in h)
+    executes normally.  When two paths do get the same flat id, the shared
+    ids are named in a PreconditionViolationError.
+
     Raises InfinitePathSetError when the path set is infinite.
     """
     paths = alternating_paths(g, h)
     boundary = g.vertices ^ h.vertices
-    return Graph(boundary, [(p.flat_id, p.source, p.target) for p in paths])
+    try:
+        return Graph(boundary, [(p.flat_id, p.source, p.target) for p in paths])
+    except DuplicateEdgeIdError as exc:
+        shared = _base_ids(g) & _base_ids(h)
+        if not shared:
+            raise
+        names = ", ".join(sorted(map(repr, shared)))
+        raise PreconditionViolationError(
+            f"execute needs disjoint edge ids, but both graphs use {names}"
+        ) from exc
+
+
+def _base_ids(g: Graph) -> set:
+    return {base for e in g.edges for base in flatten(e.id)}
 
 
 def measure(g: Graph, h: Graph, mode: str = DIRECTED) -> ExtNat:

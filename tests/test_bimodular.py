@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+from intgraphs import bimodular
 from intgraphs.bimodular import (
     BimodularGraph,
     FiniteGroup,
     IncompatibleActionsError,
     IncompatibleGroupsError,
+    OrbitCapExceededError,
     bimod_compose2,
     bimod_execute,
     check_well_defined,
@@ -17,7 +19,7 @@ from intgraphs.bimodular import (
     trivial_group,
 )
 from intgraphs.execution import execute, graphs_equal_flattened
-from intgraphs.graph import Graph
+from intgraphs.graph import Graph, GraphError
 
 
 class TestFiniteGroup:
@@ -254,3 +256,25 @@ class TestWellDefined:
         g = BimodularGraph(g_graph, groups={"m": v4})
         assert check_well_defined(f, g).passed
         assert len(bimod_execute(f, g).graph.edges) == 1
+
+
+class TestOrbitCap:
+    def test_cap_error_is_a_graph_error(self):
+        assert issubclass(OrbitCapExceededError, GraphError)
+
+    def test_path_orbit_over_cap(self, monkeypatch):
+        monkeypatch.setattr(bimodular, "_ORBIT_CAP", 1)
+        f, g = swap_example()  # the orbit of e1.f is {e1.f, e2.f}
+        with pytest.raises(OrbitCapExceededError, match="path orbit"):
+            bimod_execute(f, g)
+
+    def test_junction_product_over_cap(self, monkeypatch):
+        monkeypatch.setattr(bimodular, "_ORBIT_CAP", 1)
+        z2 = cyclic_group(2)
+        # trivial actions: every orbit is one path, but the junction group
+        # at m has two elements to try
+        f = BimodularGraph(Graph({"v", "m"}, [("e", "v", "m")]), groups={"m": z2})
+        g = BimodularGraph(Graph({"m", "w"}, [("f", "m", "w")]), groups={"m": z2})
+        bimod_execute(f, g)
+        with pytest.raises(OrbitCapExceededError, match="junction-group product"):
+            check_well_defined(f, g)

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
+from intgraphs import campaigns, functor
 from intgraphs.campaigns import (
     _render_triple,
     campaign_associativity,
@@ -7,13 +12,16 @@ from intgraphs.campaigns import (
     random_triple,
     trial_rng,
 )
-from intgraphs.formats import parse_graph
+from intgraphs.cli import main
+from intgraphs.cob0 import cob0_enumerate, cob0_identity
+from intgraphs.formats import parse_cobordism, parse_graph
+from intgraphs.functor import check_functoriality
 
 
-def split_graph_blocks(text: str) -> list[str]:
+def split_blocks(text: str, keyword: str = "graph") -> list[str]:
     blocks: list[list[str]] = []
     for line in text.splitlines():
-        if line.startswith("graph "):
+        if line.startswith(keyword + " "):
             blocks.append([])
         if line.strip() and blocks:
             blocks[-1].append(line)
@@ -37,7 +45,7 @@ def test_random_triple_has_empty_triple_intersection():
 def test_counterexample_rendering_is_replayable():
     f, g, h = random_triple(trial_rng(11, 4))
     text = _render_triple(f, g, h)
-    blocks = split_graph_blocks(text)
+    blocks = split_blocks(text)
     assert len(blocks) == 3
     parsed = [parse_graph(b)[1] for b in blocks]
     assert parsed == [f, g, h]
@@ -54,3 +62,183 @@ def test_campaign_counts_are_consistent():
     result = campaign_associativity(trials=50, seed=3)
     assert result.passed + result.failed + result.skipped == result.trials
     assert "campaign=associativity" in result.render_line()
+
+
+# Reports recorded before the exhaustive campaigns were moved onto the
+# shared campaign loop: render_text() then render_line().
+GOLDEN = {
+    "assoc": (
+        lambda: campaigns.campaign_associativity(40, 5, max_vertices=5, max_edges=6),
+        """\
+associativity: PASS
+  trials  = 40
+  passed  = 36
+  failed  = 0
+  skipped = 4 (infinite instances)
+campaign=associativity verdict=PASS trials=40 passed=36 failed=0 skipped=4""",
+    ),
+    "trefoil": (
+        lambda: campaigns.campaign_trefoil(40, 5, max_vertices=5, max_edges=6),
+        """\
+trefoil: PASS
+  trials  = 40
+  passed  = 29
+  failed  = 0
+  skipped = 11 (infinite instances)
+campaign=trefoil verdict=PASS trials=40 passed=29 failed=0 skipped=11""",
+    ),
+    "cob0-laws": (
+        lambda: campaigns.campaign_cob0_laws(bound=2),
+        """\
+cob0-laws: PASS
+  trials  = 566
+  passed  = 566
+  failed  = 0
+  skipped = 0 (infinite instances)
+  associativity_triples = 552
+  identity_morphisms = 14
+campaign=cob0-laws verdict=PASS trials=566 passed=566 failed=0 skipped=0 associativity_triples=552 identity_morphisms=14""",
+    ),
+    "functor": (
+        lambda: campaigns.campaign_functor(bound=2),
+        """\
+functor: PASS
+  trials  = 189
+  passed  = 189
+  failed  = 0
+  skipped = 0 (infinite instances)
+  directed_is_twice_unoriented = True
+campaign=functor verdict=PASS trials=189 passed=189 failed=0 skipped=0 directed_is_twice_unoriented=True""",
+    ),
+    "faithful": (
+        lambda: campaigns.campaign_faithful(total_bound=4),
+        """\
+faithful: PASS
+  trials  = 15
+  passed  = 15
+  failed  = 0
+  skipped = 0 (infinite instances)
+  images_by_boundary_size = {0: 3, 2: 3, 4: 9}
+campaign=faithful verdict=PASS trials=15 passed=15 failed=0 skipped=0 images_by_boundary_size={0: 3, 2: 3, 4: 9}""",
+    ),
+    "bimod-degeneracy": (
+        lambda: campaigns.campaign_bimod_degeneracy(trials=30, seed=5),
+        """\
+bimod-degeneracy: PASS
+  trials  = 30
+  passed  = 29
+  failed  = 0
+  skipped = 1 (infinite instances)
+campaign=bimod-degeneracy verdict=PASS trials=30 passed=29 failed=0 skipped=1""",
+    ),
+    "bimod-well-defined": (
+        lambda: campaigns.campaign_bimod_well_defined(trials=20, seed=5),
+        """\
+bimod-well-defined: PASS
+  trials  = 20
+  passed  = 19
+  failed  = 0
+  skipped = 1 (infinite instances)
+campaign=bimod-well-defined verdict=PASS trials=20 passed=19 failed=0 skipped=1""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_campaign_reports_are_unchanged(name):
+    run, expected = GOLDEN[name]
+    result = run()
+    assert result.trials == result.passed + result.failed + result.skipped
+    assert result.render_text() + "\n" + result.render_line() == expected
+
+
+def test_campaign_draws_cases_lazily():
+    drawn = []
+
+    def cases():
+        for i in range(5):
+            drawn.append(i)
+            # passes only if no later case was drawn before this one ran
+            yield lambda i=i: (len(drawn) == i + 1, lambda: f"case {i}")
+
+    result = campaigns._campaign("lazy", cases())
+    assert (result.trials, result.passed, result.failed) == (5, 5, 0)
+
+
+def _is_identity(m) -> bool:
+    return m == cob0_identity(m.source)
+
+
+def test_cob0_laws_identity_failure_replays(monkeypatch, capsys):
+    real = campaigns.cob0_compose
+
+    def one_circle_too_many(m, n):
+        out = real(m, n)
+        return dataclasses.replace(out, circles=out.circles + 1)
+
+    monkeypatch.setattr(campaigns, "cob0_compose", one_circle_too_many)
+    result = campaigns.campaign_cob0_laws(bound=1)
+    assert result.verdict == "FAIL"
+    assert result.trials == result.passed + result.failed + result.skipped
+    [block] = split_blocks(result.counterexample, "cob")
+    _, m = parse_cobordism(block)
+    assert one_circle_too_many(cob0_identity(m.source), m) != m
+
+    assert main(["check", "cob0-laws", "--exhaustive-bound", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "cob0-laws: FAIL" in out and result.counterexample in out
+
+
+def test_cob0_laws_associativity_failure_replays(monkeypatch):
+    real = campaigns.cob0_compose
+
+    def lopsided(m, n):
+        # identities still compose correctly, so only associativity can fail
+        out = real(m, n)
+        if _is_identity(m) or _is_identity(n):
+            return out
+        return dataclasses.replace(out, circles=out.circles + len(m.source))
+
+    monkeypatch.setattr(campaigns, "cob0_compose", lopsided)
+    result = campaigns.campaign_cob0_laws(bound=2)
+    assert result.verdict == "FAIL"
+    # the notes count cases, whatever their verdicts
+    assert result.notes == {"identity_morphisms": 14, "associativity_triples": 552}
+    m, n, p = (parse_cobordism(b)[1] for b in split_blocks(result.counterexample, "cob"))
+    assert lopsided(lopsided(m, n), p) != lopsided(m, lopsided(n, p))
+
+
+def test_functor_failure_replays(monkeypatch, capsys):
+    real = functor.cob0_compose
+
+    def one_circle_too_many(m, n):
+        out = real(m, n)
+        return dataclasses.replace(out, circles=out.circles + 1)
+
+    monkeypatch.setattr(functor, "cob0_compose", one_circle_too_many)
+    result = campaigns.campaign_functor(bound=1)
+    assert result.verdict == "FAIL"
+    assert result.failed == result.trials
+    m, n = (parse_cobordism(b)[1] for b in split_blocks(result.counterexample, "cob"))
+    assert not check_functoriality(m, n).passed
+    # every pair fails, and the report keeps the first: the empty pair
+    empty = frozenset()
+    assert m == n == cob0_enumerate(empty, empty, 2)[0]
+
+    assert main(["check", "functor", "--exhaustive-bound", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "functor: FAIL" in out and result.counterexample in out
+
+
+def test_functor_verdict_requires_directed_twice_unoriented(monkeypatch):
+    real = functor.check_functoriality
+
+    def broken_measure(m, n):
+        report = real(m, n)
+        details = dict(report.details, directed_is_twice_unoriented=False)
+        return dataclasses.replace(report, details=details)
+
+    monkeypatch.setattr(campaigns, "check_functoriality", broken_measure)
+    result = campaigns.campaign_functor(bound=1)
+    assert result.failed == result.trials
+    assert result.notes["directed_is_twice_unoriented"] is False

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
+from intgraphs import bimodular, cli
 from intgraphs.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -50,6 +53,15 @@ class TestExecute:
         code, _, err = run(capsys, "execute", str(bad), str(SAMPLES / "arrow_ab.graph"))
         assert code == 2
         assert "line 2" in err
+
+    def test_shared_edge_ids_exit_2_naming_the_id(self, tmp_path, capsys):
+        left = tmp_path / "left.graph"
+        left.write_text("graph l\nvertex a\nvertex b\nedge e a b\n")
+        right = tmp_path / "right.graph"
+        right.write_text("graph r\nvertex c\nvertex d\nedge e c d\n")
+        code, _, err = run(capsys, "execute", str(left), str(right))
+        assert code == 2
+        assert "disjoint edge ids" in err and "'e'" in err
 
     def test_infinite_exits_3_with_witness(self, tmp_path, capsys):
         left = tmp_path / "left.graph"
@@ -153,3 +165,59 @@ class TestCheck:
     def test_bad_property_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "no-such-property")
         assert code == 2
+
+    def test_exhaustive_bound_zero_is_a_real_bound(self, capsys):
+        code, out, _ = run(capsys, "check", "faithful", "--exhaustive-bound", "0")
+        assert code == 0
+        assert "trials=1 " in out
+
+    def test_zero_trials_run_nothing(self, capsys):
+        code, out, _ = run(capsys, "check", "assoc", "--trials", "0")
+        assert code == 0
+        assert "trials=0 passed=0 failed=0 skipped=0" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--trials", "-5"),
+            ("--exhaustive-bound", "-1"),
+            ("--max-vertices", "0"),
+            ("--max-edges", "0"),
+            ("--trials", "many"),
+        ],
+    )
+    def test_bad_counts_and_sizes_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "check", "assoc", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "prop, campaign, keyword",
+        [
+            ("cob0-laws", "campaign_cob0_laws", "bound"),
+            ("functor", "campaign_functor", "bound"),
+            ("faithful", "campaign_faithful", "total_bound"),
+        ],
+    )
+    def test_exhaustive_bound_passed_only_when_given(
+        self, monkeypatch, capsys, prop, campaign, keyword
+    ):
+        calls = []
+        real = getattr(cli, campaign)
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real(**{keyword: 0})
+
+        monkeypatch.setattr(cli, campaign, spy)
+        assert run(capsys, "check", prop)[0] == 0
+        assert run(capsys, "check", prop, "--exhaustive-bound", "0")[0] == 0
+        assert calls == [{}, {keyword: 0}]
+
+    def test_bimodular_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(bimodular, "_ORBIT_CAP", 1)
+        code, out, err = run(capsys, "check", "bimod-well-defined", "--trials", "20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "exceed" in err

@@ -11,7 +11,14 @@ from intgraphs.execution import (
     measure,
     normal_form,
 )
-from intgraphs.graph import DIRECTED, OMEGA, UNORIENTED, Graph, InfinitePathSetError
+from intgraphs.graph import (
+    DIRECTED,
+    OMEGA,
+    UNORIENTED,
+    DuplicateEdgeIdError,
+    Graph,
+    InfinitePathSetError,
+)
 
 
 def g(vertices, edges=()):
@@ -52,6 +59,25 @@ class TestExecute:
         G = g({"a", "b", "c"}, [("e1", "a", "b"), ("e2", "b", "c")])
         H = g({"b", "c", "d"}, [("f1", "b", "c"), ("f2", "c", "d")])
         assert graphs_equal_flattened(execute(G, H), execute(H, G))
+
+    def test_shared_edge_ids_are_a_precondition_violation(self):
+        G = g({"a", "b"}, [("e", "a", "b")])
+        H = g({"c", "d"}, [("e", "c", "d")])
+        with pytest.raises(PreconditionViolationError, match="disjoint edge ids.*'e'"):
+            execute(G, H)
+
+    def test_shared_id_on_distinct_paths_still_executes(self):
+        G = g({"a", "m"}, [("e", "a", "m")])
+        H = g({"m", "b"}, [("e", "m", "b")])
+        result = execute(G, H)
+        assert [(e.id, e.src, e.tgt) for e in result.edges] == [(("e", "e"), "a", "b")]
+
+    def test_ids_of_one_graph_that_flatten_alike_still_collide(self):
+        # "x" and ("x",) share no id with the other graph: not the
+        # disjointness precondition, so the plain duplicate-id error stays
+        G = g({"a", "b"}, [("x", "a", "b"), (("x",), "a", "b")])
+        with pytest.raises(DuplicateEdgeIdError):
+            execute(G, Graph.empty())
 
     def test_propagates_infinite_path_set(self):
         G = g({"a", "b", "c"}, [("e", "a", "b"), ("g", "c", "b")])
