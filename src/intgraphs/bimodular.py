@@ -17,6 +17,7 @@ small permutation groups are provided as builders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping
 
@@ -119,8 +120,18 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(k: int) -> FiniteGroup:
+    """The cyclic group of order k, elements "0".."k-1" under addition mod k.
+
+    Each order is built and checked once; every call with that order returns
+    the same shared instance, which no code mutates.
+    """
     if k < 1:
         raise ValueError("cyclic group order must be >= 1")
+    return _cyclic_group(k)
+
+
+@functools.cache
+def _cyclic_group(k: int) -> FiniteGroup:
     elements = [str(i) for i in range(k)]
     table = {
         (str(i), str(j)): str((i + j) % k) for i in range(k) for j in range(k)

@@ -320,34 +320,36 @@ def campaign_bimod_degeneracy(
     return _campaign("bimod-degeneracy", _seeded(trials, seed, run_one))
 
 
-def _all_perms(ids: list) -> list[dict]:
-    return [dict(zip(ids, image)) for image in itertools.permutations(ids)]
+@functools.cache
+def _perm_pool(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations of ``range(k)`` whose order divides n, identity
+    included, as index tuples in ``itertools.permutations`` order: the
+    order fixes which instance a seed gives, as ``rng.choice`` picks by
+    position.  Built once per (k, n), but it still grows like k!."""
+    return tuple(p for p in itertools.permutations(range(k)) if _order_divides(p, n))
 
 
-def _perm_power(perm: dict, k: int) -> dict:
-    out = {x: x for x in perm}
-    for _ in range(k):
-        out = {x: perm[out[x]] for x in out}
-    return out
+def _order_divides(perm: tuple[int, ...], n: int) -> bool:
+    """Whether perm^n is the identity."""
+    power = perm
+    for _ in range(n - 1):
+        power = tuple(perm[i] for i in power)
+    return power == tuple(range(len(perm)))
 
 
-def _perm_order(perm: dict) -> int:
-    k = 1
-    cur = dict(perm)
-    ident = {x: x for x in perm}
-    while cur != ident:
-        cur = {x: perm[cur[x]] for x in cur}
-        k += 1
-    return k
+def _commuting(pool, perm: tuple[int, ...]) -> list:
+    """The members q of pool with q[perm[x]] == perm[q[x]] for every x, in
+    pool order."""
+    return [q for q in pool if all(q[a] == perm[b] for a, b in zip(perm, q))]
 
 
-def _commutes(p: dict, q: dict) -> bool:
-    return all(p[q[x]] == q[p[x]] for x in p)
-
-
-def _powers_action(group, generator: dict) -> dict:
-    """Action of a cyclic group sending element "k" to generator^k."""
-    return {el: _perm_power(generator, int(el)) for el in group.elements}
+def _powers_action(group, ids: list, generator: tuple[int, ...]) -> dict:
+    """Action of a cyclic group on the edge ids, sending element "k" to
+    generator^k (generator permutes the positions of ids)."""
+    powers = [tuple(range(len(ids)))]
+    for _ in range(group.order - 1):
+        powers.append(tuple(generator[i] for i in powers[-1]))
+    return {el: {x: ids[i] for x, i in zip(ids, powers[int(el)])} for el in group.elements}
 
 
 def _random_commuting_actions(rng: random.Random, graph: Graph, groups: dict):
@@ -361,16 +363,10 @@ def _random_commuting_actions(rng: random.Random, graph: Graph, groups: dict):
         pairs.setdefault((e.src, e.tgt), []).append(e.id)
     for (v, w), ids in pairs.items():
         lgrp, rgrp = groups[v], groups[w]
-        perms = _all_perms(ids)
-        lgen = rng.choice([p for p in perms if lgrp.order % _perm_order(p) == 0])
-        rpool = [
-            p
-            for p in perms
-            if rgrp.order % _perm_order(p) == 0 and _commutes(p, lgen)
-        ]
-        rgen = rng.choice(rpool) if rpool else {x: x for x in ids}
-        left[(v, w)] = _powers_action(lgrp, lgen)
-        right[(v, w)] = _powers_action(rgrp, rgen)
+        lgen = rng.choice(_perm_pool(len(ids), lgrp.order))
+        rgen = rng.choice(_commuting(_perm_pool(len(ids), rgrp.order), lgen))
+        left[(v, w)] = _powers_action(lgrp, ids, lgen)
+        right[(v, w)] = _powers_action(rgrp, ids, rgen)
     return left, right
 
 

@@ -41,11 +41,14 @@ def execute(g: Graph, h: Graph) -> Graph:
     """Plug g and h together: vertices are the symmetric difference, edges
     the boundary-to-boundary alternating paths (flattened ids).
 
-    Precondition: g and h have disjoint base edge ids, so that every path's
-    flattened id is unique.  It is not checked up front; a pair that shares
-    ids but still gives distinct flat ids (e: a -> m in g, e: m -> b in h)
-    executes normally.  When two paths do get the same flat id, the shared
-    ids are named in a PreconditionViolationError.
+    Precondition: g and h have disjoint base edge ids, and flattening is
+    injective on each operand's own ids, so that every path's flattened id
+    is unique.  It is not checked up front; a pair that shares ids but
+    still gives distinct flat ids (e: a -> m in g, e: m -> b in h) executes
+    normally.  When two paths do get the same flat id, the shared ids are
+    named in a PreconditionViolationError.  Ids of one graph that flatten
+    alike, such as ``x`` and ``("x",)``, share no id with the other operand
+    and raise the plain DuplicateEdgeIdError.
 
     Raises InfinitePathSetError when the path set is infinite.
     """

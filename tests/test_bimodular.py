@@ -30,6 +30,13 @@ class TestFiniteGroup:
         assert z3.mul("1", "2") == "0"
         assert z3.inv("1") == "2"
 
+    def test_cyclic_groups_are_built_once_per_order(self):
+        assert cyclic_group(3) is cyclic_group(3)
+        assert trivial_group() is cyclic_group(1)
+        assert cyclic_group(2) is not cyclic_group(4)
+        with pytest.raises(ValueError):
+            cyclic_group(0)
+
     def test_symmetric(self):
         s3 = symmetric_group(3)
         assert s3.order == 6

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 
 import pytest
 
@@ -56,6 +58,72 @@ def test_random_bimodular_pairs_validate():
     # produce commuting tables
     for index in range(40):
         random_bimodular_pair(trial_rng(23, index))
+
+
+def _bimodular_form(bgraph) -> str:
+    """Edges, group names and both action tables, sorted, so the form does
+    not depend on dict order."""
+    edges = sorted((e.id, e.src, e.tgt) for e in bgraph.graph.edges)
+    groups = sorted((v, grp.name) for v, grp in bgraph.groups.items())
+
+    def actions(table):
+        return sorted(
+            (pair, sorted((el, sorted(perm.items())) for el, perm in acts.items()))
+            for pair, acts in table.items()
+        )
+
+    return repr((edges, groups, actions(bgraph.left), actions(bgraph.right)))
+
+
+# sha256 of the generated pairs, recorded when generators were still drawn
+# from lists of every permutation of the edge set; the RNG draws and the
+# pool order must not change.  The 7-edge sizes cover sets of 7 parallel
+# edges.
+GENERATOR_GOLDEN = {
+    (42, 300, 5, 6, 4): "895b8ac2f150c4dfdcbe0e8af162604cc6327a3564ee5f1aa498983337ec9fd3",
+    (20231029, 300, 5, 6, 4): "fb4e16f6632db1662f6697a17618c76afe479b5038eae7ff000603af44528edb",
+    (42, 50, 5, 7, 4): "59aa04b89cb7088241cbcf685e4ecd671c1dabd986cbbd75fe67c58fe8ea4eb3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GENERATOR_GOLDEN))
+def test_random_bimodular_pairs_are_unchanged(key):
+    seed, trials, *sizes = key
+    digest = hashlib.sha256()
+    for index in range(trials):
+        for bgraph in random_bimodular_pair(trial_rng(seed, index), *sizes):
+            digest.update(_bimodular_form(bgraph).encode() + b"\n")
+    assert digest.hexdigest() == GENERATOR_GOLDEN[key]
+
+
+def _order(perm: tuple) -> int:
+    identity = tuple(range(len(perm)))
+    power, order = perm, 1
+    while power != identity:
+        power = tuple(perm[i] for i in power)
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_perm_pools_match_brute_force(k):
+    perms = list(itertools.permutations(range(k)))
+    identity = tuple(range(k))
+    for n in range(1, 5):
+        pool = campaigns._perm_pool(k, n)
+        assert list(pool) == [p for p in perms if n % _order(p) == 0]
+        # the identity is in every pool and commutes with everything, so a
+        # right generator can always be drawn
+        assert identity in pool
+        for m in range(1, 5):
+            for perm in campaigns._perm_pool(k, m):
+                commuting = campaigns._commuting(pool, perm)
+                assert commuting == [
+                    q for q in pool
+                    if tuple(q[perm[x]] for x in range(k))
+                    == tuple(perm[q[x]] for x in range(k))
+                ]
+                assert identity in commuting
 
 
 def test_campaign_counts_are_consistent():
