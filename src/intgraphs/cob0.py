@@ -8,14 +8,17 @@ union of A and B (the segments) plus a count of closed circles.  Boundary
 points carry side tags, so A and B may reuse labels, and a pair may sit
 entirely inside one side.
 
-Each morphism keeps its matching as a point -> mate table, filled while
-the pairs are validated.  Composition glues along the shared middle object
-by chain-chasing in the operands' own tagged points: from each outer
-boundary point, alternately follow the two tables through the middle (m's
-target point x is n's source point x) until another outer point is
-reached, so the composite's pairs come out already tagged.  Middle points
-not on any such open chain lie on closed alternating chains, each of which
-becomes a new circle.
+Each morphism keeps its matching as a point -> mate table, filled in the
+same single pass over the pairs that checks each pair's size and rejects a
+point seen twice; one comparison of the table's keys with the boundary then
+finds unknown and missing points.  Composition glues along the shared
+middle object with one chase: from each outer boundary point, alternately
+follow the two tables through the middle (m's target point x is n's source
+point x) until another outer point is reached, recording only the middle
+labels passed.  The composite's pairs come out already tagged, and
+`decompose_segment` rebuilds a pair's operand segments from the same
+labels.  Middle points not on any such open chain lie on closed
+alternating chains, each of which becomes a new circle.
 """
 
 from __future__ import annotations
@@ -54,27 +57,31 @@ class Cob0Morphism:
     circles: int = 0
 
     def __post_init__(self) -> None:
-        if self.circles < 0:
-            raise ValueError("circle count must be >= 0")
-        points = {source_point(a) for a in self.source} | {
-            target_point(b) for b in self.target
-        }
+        circles = self.circles
+        if isinstance(circles, bool) or not isinstance(circles, int) or circles < 0:
+            raise ValueError(f"circle count must be an int >= 0, got {circles!r}")
         mates: dict = {}
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ValueError(f"pair {set(pair)!r} must contain two distinct points")
-            for p in pair:
-                if p not in points:
-                    raise ValueError(f"pair references unknown boundary point {p!r}")
-                if p in mates:
-                    raise ValueError(f"boundary point {p!r} occurs in two pairs")
             p, q = pair
+            if p in mates or q in mates:
+                raise ValueError(
+                    f"boundary point {p if p in mates else q!r} occurs in two pairs"
+                )
             mates[p] = q
             mates[q] = p
+        points = {(SRC, a) for a in self.source}
+        points.update((TGT, b) for b in self.target)
         if mates.keys() != points:
-            missing = points - mates.keys()
+            unknown = mates.keys() - points
+            if unknown:
+                raise ValueError(
+                    f"pair references unknown boundary point {min(unknown, key=str)!r}"
+                )
             raise ValueError(
-                f"matching must cover every boundary point, missing {sorted(map(str, missing))}"
+                "matching must cover every boundary point, "
+                f"missing {sorted(map(str, points - mates.keys()))}"
             )
         # Not a field, so equality, hashing and repr still see only the pairs.
         object.__setattr__(self, "_mates", mates)
@@ -114,26 +121,22 @@ def _check_interface(m: Cob0Morphism, n: Cob0Morphism) -> None:
         )
 
 
-def _chase(
-    m: Cob0Morphism, n: Cob0Morphism, start: TaggedPoint
-) -> list[tuple[str, TaggedPoint, TaggedPoint]]:
+def _chase(m: Cob0Morphism, n: Cob0Morphism, start: TaggedPoint) -> tuple[list, TaggedPoint]:
     """Follow the two matchings from an outer point (a source point of m or
     a target point of n) to the other end of its chain.
 
-    Returns the chain as ("M" | "N", point, mate) steps in each operand's
-    own points; the last step's mate is the other end.
+    Returns the labels of the middle points passed, in order, and the other
+    end.  A middle label x is m's point (TGT, x) and n's point (SRC, x).
     """
-    steps = []
+    labels = []
     in_m = start[0] == SRC
-    cur = start
-    while True:
-        nxt = (m if in_m else n)._mates[cur]
-        steps.append(("M" if in_m else "N", cur, nxt))
-        if nxt[0] == (SRC if in_m else TGT):
-            return steps
-        # the same middle point, as the other operand tags it
-        cur = (SRC if in_m else TGT, nxt[1])
+    end = (m if in_m else n)._mates[start]
+    while end[0] == (TGT if in_m else SRC):
+        x = end[1]
+        labels.append(x)
         in_m = not in_m
+        end = m._mates[(TGT, x)] if in_m else n._mates[(SRC, x)]
+    return labels, end
 
 
 def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
@@ -146,13 +149,12 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     ends: set = set()
     walked: set = set()  # middle labels already on some chain
     new_pairs = []
-    for p in [source_point(a) for a in m.source] + [target_point(c) for c in n.target]:
+    for p in [(SRC, a) for a in m.source] + [(TGT, c) for c in n.target]:
         if p in ends:
             continue
-        steps = _chase(m, n, p)
-        end = steps[-1][2]
+        labels, end = _chase(m, n, p)
         ends.add(end)
-        walked.update(q[1] for _, _, q in steps[:-1])
+        walked.update(labels)
         new_pairs.append(frozenset((p, end)))
 
     closed = 0
@@ -163,9 +165,9 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
         cur = b
         while True:
             walked.add(cur)
-            cur = m._mates[target_point(cur)][1]
+            cur = m._mates[(TGT, cur)][1]
             walked.add(cur)
-            cur = n._mates[source_point(cur)][1]
+            cur = n._mates[(SRC, cur)][1]
             if cur == b:
                 break
 
@@ -209,12 +211,17 @@ def decompose_segment(
     if len(outer) != 2:
         raise NotACompositeError(f"{set(pair)!r} is not two outer boundary points")
     start = min(pair, key=str)
-    steps = _chase(m, n, start)
-    if pair != {start, steps[-1][2]}:
+    labels, end = _chase(m, n, start)
+    if pair != {start, end}:
         raise NotACompositeError(f"{set(pair)!r} is not a pair of the composite")
-    return AlternatingDecomposition(
-        tuple((tag, frozenset((p, q))) for tag, p, q in steps)
-    )
+    segments = []
+    in_m, cur = start[0] == SRC, start
+    for x in labels:
+        segments.append(("M" if in_m else "N", frozenset((cur, (TGT if in_m else SRC, x)))))
+        in_m = not in_m
+        cur = (TGT if in_m else SRC, x)
+    segments.append(("M" if in_m else "N", frozenset((cur, end))))
+    return AlternatingDecomposition(tuple(segments))
 
 
 def _matchings(points: list) -> Iterator[frozenset]:

@@ -133,6 +133,11 @@ def render_graph(name: str, graph: Graph) -> str:
     return "\n".join(lines)
 
 
+def _is_natural(token: str) -> bool:
+    # str.isdigit alone also accepts digits such as "²" that int() rejects
+    return token.isascii() and token.isdigit()
+
+
 def parse_project(text: str) -> tuple[str, Project]:
     name, graph, extra = _parse_graph_block(text, allow=("wager",))
     wager = ExtNat(0)
@@ -145,7 +150,7 @@ def parse_project(text: str) -> tuple[str, Project]:
         seen = True
         if args[0] == "omega":
             wager = OMEGA
-        elif args[0].isdigit():
+        elif _is_natural(args[0]):
             wager = ExtNat(int(args[0]))
         else:
             raise ParseError(f"wager must be a natural number or omega, got {args[0]!r}", lineno)
@@ -198,7 +203,7 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
                 raise ParseError("pair expects exactly two points", lineno)
             pair_lines.append((lineno, args))
         elif directive == "circles":
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not _is_natural(args[0]):
                 raise ParseError("circles expects one natural number", lineno)
             circles = int(args[0])
         else:

@@ -67,7 +67,7 @@ class InfinitePathSetError(GraphError):
 
     def __init__(self, witness: Sequence[tuple[int, "Edge"]]):
         self.witness = tuple(witness)
-        ids = " ".join(str(edge.id) for _, edge in self.witness)
+        ids = " ".join(repr(edge.id) for _, edge in self.witness)
         super().__init__(f"infinite alternating path set (pumpable cycle: {ids})")
 
 
@@ -81,7 +81,7 @@ class InfiniteCycleSetError(GraphError):
     def __init__(self, node: tuple[int, "Edge"], branches: Sequence[tuple[int, "Edge"]]):
         self.node = node
         self.branches = tuple(branches)
-        ids = ", ".join(str(edge.id) for _, edge in self.branches)
+        ids = ", ".join(repr(edge.id) for _, edge in self.branches)
         super().__init__(
             f"infinite prime cycle set (edge {node[1].id!r} re-enters its "
             f"component via {ids})"

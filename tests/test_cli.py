@@ -129,6 +129,13 @@ class TestCob:
         assert code == 0
         assert "functoriality: PASS" in out
 
+    def test_non_ascii_circle_count_exits_2_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cob"
+        bad.write_text("cob c\nleft b1 b2\nright x\ncircles ²\n")
+        code, _, err = run(capsys, "cob", "compose", str(SAMPLES / "cap.cob"), str(bad))
+        assert code == 2
+        assert "line 4" in err
+
     def test_interface_mismatch_exits_2(self, capsys):
         code, _, err = run(
             capsys, "cob", "compose", str(SAMPLES / "cap.cob"), str(SAMPLES / "cap.cob")

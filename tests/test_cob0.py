@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -50,8 +51,35 @@ class TestConstruction:
             )
 
     def test_negative_circles_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             cob0_morphism(set(), set(), [], circles=-1)
+        assert str(err.value) == "circle count must be an int >= 0, got -1"
+
+    @pytest.mark.parametrize(
+        "source, target, pairs, message",
+        [
+            ({"a"}, {"b"}, [(sp("a"), tp("c"))],
+             "pair references unknown boundary point ('tgt', 'c')"),
+            ({1}, {"1"}, [(sp("1"), tp(1))],
+             "pair references unknown boundary point ('src', '1')"),
+            ({"a", "b", "c"}, set(), [(sp("a"), sp("b")), (sp("a"), sp("c"))],
+             "boundary point ('src', 'a') occurs in two pairs"),
+            ({"a"}, {"b"}, [(sp("a"), sp("a")), (tp("b"), tp("b"))],
+             "must contain two distinct points"),
+            ({"a", 1}, {"b", "1"}, [(sp("a"), tp("b"))],
+             """matching must cover every boundary point, missing ["('src', 1)", "('tgt', '1')"]"""),
+        ],
+    )
+    def test_bad_matching_rejected_with_its_reason(self, source, target, pairs, message):
+        with pytest.raises(ValueError) as err:
+            cob0_morphism(source, target, pairs)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("circles", [1.5, 2.0, "2", None, True, False])
+    def test_circle_count_must_be_a_non_bool_int(self, circles):
+        with pytest.raises(ValueError) as err:
+            cob0_morphism({"a"}, {"b"}, [(sp("a"), tp("b"))], circles=circles)
+        assert str(err.value) == f"circle count must be an int >= 0, got {circles!r}"
 
     def test_side_tags_let_labels_repeat(self):
         m = cob0_morphism({"x"}, {"x"}, [(sp("x"), tp("x"))])
@@ -215,6 +243,32 @@ class TestDecompose:
         ]
         # the chase is deterministic, so the decomposition is unique
         assert decompose_segment(m, n, pair) == dec
+
+    def test_segments_are_unchanged_on_small_objects(self):
+        # Every pair of every composite over objects of size <= 3 drawn from
+        # (1, "1", "a"), hashed in a canonical order.  The digest was recorded
+        # from the step-by-step chase that built each segment from the
+        # operands' own (point, mate) steps.
+        def canonical(points):
+            return tuple(sorted(points, key=repr))
+
+        pool = (1, "1", "a")
+        objects = [frozenset(c) for k in range(4) for c in itertools.combinations(pool, k)]
+        digest = hashlib.sha256()
+        count = 0
+        for a, b, c in itertools.product(objects, repeat=3):
+            for m in cob0_enumerate(a, b, 0):
+                for n in cob0_enumerate(b, c, 0):
+                    key = repr([sorted(map(canonical, x.pairs), key=repr) for x in (m, n)])
+                    for pair in sorted(map(canonical, cob0_compose(m, n).pairs), key=repr):
+                        dec = decompose_segment(m, n, frozenset(pair))
+                        segs = tuple((tag, canonical(seg)) for tag, seg in dec.segments)
+                        digest.update(f"{key} {pair!r} {segs!r}\n".encode())
+                        count += 1
+        assert count == 2076
+        assert digest.hexdigest() == (
+            "c1dc456f1ffd55819b1cfa5b37571686e2535cb934a96258ddfce719c73f4a08"
+        )
 
     def test_alternation_enforced(self):
         with pytest.raises(InvariantViolationError):

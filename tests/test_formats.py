@@ -133,6 +133,12 @@ class TestProjectFormat:
         _, p = parse_project("graph g\nvertex a\n")
         assert p.wager == ExtNat(0)
 
+    @pytest.mark.parametrize("wager", ["²", "٣", "-1", "1.5"])
+    def test_wager_must_be_ascii_digits(self, wager):
+        with pytest.raises(ParseError) as err:
+            parse_project(f"graph g\nvertex a\nwager {wager}\n")
+        assert err.value.line == 3
+
     def test_round_trip(self):
         project = Project(ExtNat(5), Graph({"a"}, [("e", "a", "a")]))
         _, parsed = parse_project(render_project("p", project))
@@ -161,6 +167,13 @@ class TestCobordismFormat:
         assert "ambiguous" in str(err.value)
         _, m = parse_cobordism("cob c\nleft x\nright x\npair L:x R:x\n")
         assert m.mate(sp("x")) == tp("x")
+
+    @pytest.mark.parametrize("circles", ["²", "٣", "-1", "1.5"])
+    def test_circles_must_be_ascii_digits(self, circles):
+        text = f"cob c\nleft a\nright b\npair a b\ncircles {circles}\n"
+        with pytest.raises(ParseError) as err:
+            parse_cobordism(text)
+        assert err.value.line == 5
 
     def test_incomplete_matching_rejected(self):
         with pytest.raises(ParseError):

@@ -153,6 +153,16 @@ class TestAlternatingPaths:
         witness_ids = {edge.id for _, edge in err.value.witness}
         assert witness_ids == {"f", "g"}
 
+    def test_infinite_path_witness_tells_int_and_str_ids_apart(self):
+        G = g({"a", "b", "c"}, [("e", "a", "b"), (1, "c", "b")])
+        H = g({"b", "c", "y"}, [("1", "b", "c"), ("z", "b", "y")])
+        with pytest.raises(InfinitePathSetError) as err:
+            alternating_paths(G, H)
+        assert str(err.value) in {
+            f"infinite alternating path set (pumpable cycle: {ids})"
+            for ids in ("1 '1'", "'1' 1")
+        }
+
     def test_paths_carry_alternation_invariant(self):
         G = g({"a", "b", "c"}, [("e1", "a", "b"), ("e2", "b", "c")])
         H = g({"b", "c", "d"}, [("f1", "b", "c"), ("f2", "c", "d")])
@@ -200,6 +210,15 @@ class TestPrimeCycles:
         H = g({"a", "b"}, [("f1", "b", "a"), ("f2", "b", "a")])
         with pytest.raises(InfiniteCycleSetError):
             prime_cycles(G, H, DIRECTED)
+
+    def test_infinite_cycle_message_tells_int_and_str_ids_apart(self):
+        G = g({"a", "b"}, [(2, "a", "b")])
+        H = g({"a", "b"}, [(1, "b", "a"), ("1", "b", "a")])
+        with pytest.raises(InfiniteCycleSetError) as err:
+            prime_cycles(G, H, DIRECTED)
+        assert str(err.value) == (
+            "infinite prime cycle set (edge 2 re-enters its component via 1, '1')"
+        )
 
     def test_disjoint_graphs_have_no_cycles(self):
         G = g({"a", "b"}, [("e", "a", "b")])
