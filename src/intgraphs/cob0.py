@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .graph import GraphError, InvariantViolationError
+from .graph import GraphError, InvariantViolationError, show_items
 from .interaction import InterfaceMismatchError
 
 SRC = "src"
@@ -81,7 +81,7 @@ class Cob0Morphism:
                 )
             raise ValueError(
                 "matching must cover every boundary point, "
-                f"missing {sorted(map(str, points - mates.keys()))}"
+                f"missing {show_items(points - mates.keys())}"
             )
         # Not a field, so equality, hashing and repr still see only the pairs.
         object.__setattr__(self, "_mates", mates)
@@ -116,8 +116,8 @@ def cob0_identity(points: Iterable[Any]) -> Cob0Morphism:
 def _check_interface(m: Cob0Morphism, n: Cob0Morphism) -> None:
     if m.target != n.source:
         raise InterfaceMismatchError(
-            f"target {sorted(map(str, m.target))} does not match "
-            f"source {sorted(map(str, n.source))}"
+            f"target {show_items(m.target)} does not match "
+            f"source {show_items(n.source)}"
         )
 
 

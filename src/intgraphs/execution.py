@@ -30,6 +30,7 @@ from .graph import (
     alternating_paths,
     flatten,
     prime_cycles,
+    show_items,
 )
 
 
@@ -132,7 +133,7 @@ def _require_empty_triple_intersection(f: Graph, g: Graph, h: Graph) -> None:
     common = f.vertices & g.vertices & h.vertices
     if common:
         raise PreconditionViolationError(
-            f"triple vertex intersection must be empty, got {sorted(map(str, common))}"
+            f"triple vertex intersection must be empty, got {show_items(common)}"
         )
 
 

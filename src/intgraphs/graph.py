@@ -255,6 +255,14 @@ def flatten(obj: Any) -> tuple:
     return tuple(out)
 
 
+def show_items(items: Iterable) -> str:
+    """An error message's list of items: each by repr, so ``1`` and
+    ``"1"`` read apart, ordered by str, then type name, then repr, so the
+    text does not depend on set iteration order."""
+    ordered = sorted(items, key=lambda x: (str(x), type(x).__name__, repr(x)))
+    return "[" + ", ".join(map(repr, ordered)) + "]"
+
+
 @dataclass(frozen=True)
 class Path:
     """An alternating path: edges tagged 0/1 by owning graph.
@@ -268,11 +276,14 @@ class Path:
     def __post_init__(self) -> None:
         if not self.steps:
             raise InvariantViolationError("a path has at least one edge")
-        for (sa, ea), (sb, eb) in zip(self.steps, self.steps[1:]):
+        steps = iter(self.steps)
+        sa, ea = next(steps)
+        for sb, eb in steps:
             if ea.tgt != eb.src:
                 raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not compose")
             if sa == sb:
                 raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not alternate")
+            sa, ea = sb, eb
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -526,8 +537,10 @@ def count_paths(g: Graph, h: Graph) -> int:
 
 
 def _canonical_rotation(seq: tuple[DerivedNode, ...]) -> tuple[DerivedNode, ...]:
-    rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
-    return min(rotations, key=lambda rot: tuple(_node_key(n) for n in rot))
+    """The least rotation by node keys; ties go to the first least index."""
+    keys = [_node_key(n) for n in seq]
+    i = min(range(len(seq)), key=lambda i: keys[i:] + keys[:i])
+    return seq[i:] + seq[:i]
 
 
 def _is_periodic(seq: tuple[DerivedNode, ...]) -> bool:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .graph import DIRECTED, Edge, ExtNat, Graph, GraphError, flatten
+from .graph import DIRECTED, Edge, ExtNat, Graph, GraphError, flatten, show_items
 from .execution import execute, measure
 
 DOM = "dom"
@@ -77,8 +77,8 @@ def _interface_rename(f: IntMorphism, g: IntMorphism) -> tuple[Graph, Graph]:
     common namespace, leaving outer boundaries tagged dom/cod."""
     if f.cod != g.dom:
         raise InterfaceMismatchError(
-            f"codomain {sorted(map(str, f.cod))} does not match "
-            f"domain {sorted(map(str, g.dom))}"
+            f"codomain {show_items(f.cod)} does not match "
+            f"domain {show_items(g.dom)}"
         )
     left = f.graph.relabel_vertices({cod_vertex(b): (_MID, b) for b in f.cod})
     right = g.graph.relabel_vertices({dom_vertex(b): (_MID, b) for b in g.dom})

@@ -67,7 +67,7 @@ class TestConstruction:
             ({"a"}, {"b"}, [(sp("a"), sp("a")), (tp("b"), tp("b"))],
              "must contain two distinct points"),
             ({"a", 1}, {"b", "1"}, [(sp("a"), tp("b"))],
-             """matching must cover every boundary point, missing ["('src', 1)", "('tgt', '1')"]"""),
+             "matching must cover every boundary point, missing [('src', 1), ('tgt', '1')]"),
         ],
     )
     def test_bad_matching_rejected_with_its_reason(self, source, target, pairs, message):
@@ -132,6 +132,11 @@ class TestCompose:
         m2 = Cob0Morphism(m.source, m.target, m.pairs, circles=2)
         n1 = Cob0Morphism(n.source, n.target, n.pairs, circles=1)
         assert cob0_compose(m2, n1).circles == 4
+
+    def test_interface_mismatch_tells_1_from_str_1(self):
+        with pytest.raises(InterfaceMismatchError) as err:
+            cob0_compose(cob0_identity({1}), cob0_identity({"1"}))
+        assert str(err.value) == "target [1] does not match source ['1']"
 
     def test_interface_mismatch(self):
         m, _ = cap_cup_pair()
@@ -200,6 +205,13 @@ class TestDecompose:
         m, n = cap_cup_pair()
         with pytest.raises(NotACompositeError):
             decompose_segment(m, n, frozenset(pair))
+
+    def test_interface_mismatch_tells_1_from_str_1(self):
+        with pytest.raises(InterfaceMismatchError) as err:
+            decompose_segment(
+                cob0_identity({1}), cob0_identity({"1"}), frozenset({sp(1), tp("1")})
+            )
+        assert str(err.value) == "target [1] does not match source ['1']"
 
     def test_interface_mismatch(self):
         m, _ = cap_cup_pair()

@@ -130,6 +130,14 @@ class TestAssociativity:
         with pytest.raises(PreconditionViolationError):
             check_associativity(F, G, H)
 
+    def test_triple_intersection_message_tells_1_from_str_1(self):
+        F = G = H = g({1, "1", "v"})
+        with pytest.raises(PreconditionViolationError) as err:
+            check_associativity(F, G, H)
+        assert str(err.value) == (
+            "triple vertex intersection must be empty, got [1, '1', 'v']"
+        )
+
 
 class TestTrefoil:
     def test_three_cycle(self):

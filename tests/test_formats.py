@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from intgraphs.bimodular import BimodularGraph, cyclic_group, klein_four_group
 from intgraphs.cob0 import cob0_morphism, source_point as sp, target_point as tp
 from intgraphs.formats import (
     ParseError,
+    id_token,
     parse_bimodular,
     parse_cobordism,
     parse_graph,
@@ -21,8 +24,9 @@ from intgraphs.formats import (
     vertex_token,
 )
 from intgraphs.execution import execute
+from intgraphs.functor import SegmentEdgeId
 from intgraphs.graph import Graph, GraphError, OMEGA, ExtNat
-from intgraphs.interaction import Project
+from intgraphs.interaction import IdentityEdgeId, Project
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -61,19 +65,59 @@ class TestGraphFormat:
         assert parsed == g
 
 
+def _reference_token(edge_id):
+    """The straightforward tokeniser: tuples recurse, all else is str."""
+    if isinstance(edge_id, tuple):
+        return ".".join(_reference_token(x) for x in edge_id)
+    return str(edge_id)
+
+
 def _reference_render_graph(name, graph):
     """The straightforward renderer: tokens recomputed for every use."""
-    def token(edge_id):
-        if isinstance(edge_id, tuple):
-            return ".".join(token(x) for x in edge_id)
-        return str(edge_id)
-
     lines = [f"graph {name}"]
     for v in sorted(graph.vertices, key=vertex_token):
         lines.append(f"vertex {vertex_token(v)}")
-    for e in sorted(graph.edges, key=lambda e: token(e.id)):
-        lines.append(f"edge {token(e.id)} {vertex_token(e.src)} {vertex_token(e.tgt)}")
+    for e in sorted(graph.edges, key=lambda e: _reference_token(e.id)):
+        token = _reference_token(e.id)
+        lines.append(f"edge {token} {vertex_token(e.src)} {vertex_token(e.tgt)}")
     return "\n".join(lines) + "\n"
+
+
+class Shout(str):
+    """A str subclass whose str() is not its own characters."""
+
+    def __str__(self):
+        return self.upper() + "!"
+
+
+_texts = st.text(alphabet="ab1.", max_size=3)
+_id_parts = st.one_of(
+    _texts,
+    st.integers(-3, 3),
+    st.none(),
+    st.floats(allow_nan=False, width=16),
+    _texts.map(Shout),
+    st.builds(IdentityEdgeId, _texts, st.booleans()),
+    st.builds(
+        SegmentEdgeId,
+        st.tuples(st.sampled_from(["dom", "cod"]), _texts),
+        st.tuples(st.sampled_from(["dom", "cod"]), _texts),
+    ),
+)
+edge_ids = st.recursive(
+    _id_parts, lambda children: st.lists(children, max_size=4).map(tuple), max_leaves=12
+)
+
+
+class TestIdToken:
+    @given(edge_ids)
+    def test_equals_the_reference_tokeniser(self, edge_id):
+        assert id_token(edge_id) == _reference_token(edge_id)
+
+    def test_str_subclass_parts_render_through_their_str(self):
+        assert id_token((Shout("a"), "b")) == "A!.b"
+        assert id_token((Shout("a"), Shout("b"))) == "A!.B!"
+        assert id_token(("a", (Shout("b"),))) == "a.B!"
 
 
 class TestRenderGraphOutput:
@@ -102,6 +146,21 @@ class TestRenderGraphOutput:
             "edge 3 cod:2 a\n"
             "edge x.1.1.y.2.5 a 1\n"
             "edge x.None 1 1\n"
+        )
+
+    def test_executed_diamond_chain_is_unchanged(self):
+        # width 2, k = 9: 1,024 paths whose flat ids are ten plain strings;
+        # the digest was recorded before flat ids were rendered with one join
+        sides = ([], [])
+        for step in range(10):
+            for i in range(2):
+                eid = f"{'fg'[step % 2]}{step}_{i}"
+                sides[step % 2].append((eid, f"v{step}", f"v{step + 1}"))
+        f, g = (Graph({v for _, s, t in es for v in (s, t)}, es) for es in sides)
+        text = render_graph("result", execute(f, g))
+        assert text.count("\nedge ") == 1024
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a4d994e62bff3febd002b62e2864c1a72b93a050f55fcd4734b57e928ccb6a5e"
         )
 
     def test_samples_and_their_executions(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from intgraphs.graph import (
     DIRECTED,
@@ -15,6 +16,8 @@ from intgraphs.graph import (
     InvariantViolationError,
     Path,
     UnknownVertexError,
+    _canonical_rotation,
+    _node_key,
     alternating_paths,
     derived_graph,
     flatten,
@@ -289,3 +292,66 @@ class TestPathInvariants:
         f = Edge("f", "b", "c")
         with pytest.raises(InvariantViolationError):
             Path(((0, e), (0, f)))
+
+    def test_one_step_path_accepted(self):
+        e = Edge("e", "a", "b")
+        path = Path(((0, e),))
+        assert (path.source, path.target, len(path)) == ("a", "b", 1)
+
+    @staticmethod
+    def _chain(n):
+        return [(i % 2, Edge(f"e{i}", f"v{i}", f"v{i + 1}")) for i in range(n)]
+
+    def test_long_path_names_its_noncomposing_pair(self):
+        steps = self._chain(9)
+        steps[5] = (1, Edge("e5", "elsewhere", "v6"))
+        with pytest.raises(InvariantViolationError) as err:
+            Path(tuple(steps))
+        assert str(err.value) == "edges 'e4', 'e5' do not compose"
+
+    def test_long_path_names_its_nonalternating_pair(self):
+        steps = self._chain(9)
+        steps[5] = (0, steps[5][1])
+        with pytest.raises(InvariantViolationError) as err:
+            Path(tuple(steps))
+        assert str(err.value) == "edges 'e4', 'e5' do not alternate"
+
+    def test_first_bad_pair_raises_and_compose_is_tested_first(self):
+        steps = self._chain(9)
+        steps[3] = (1, Edge("e3", "elsewhere", "v4"))  # composes with nothing before
+        steps[7] = (0, steps[7][1])  # a later pair that does not alternate
+        with pytest.raises(InvariantViolationError) as err:
+            Path(tuple(steps))
+        assert str(err.value) == "edges 'e2', 'e3' do not compose"
+        steps[3] = (0, Edge("e3", "elsewhere", "v4"))  # breaks both rules
+        with pytest.raises(InvariantViolationError) as err:
+            Path(tuple(steps))
+        assert str(err.value) == "edges 'e2', 'e3' do not compose"
+
+
+def _rotation_by_full_keys(seq):
+    """The least rotation, each rotation's keys computed on their own."""
+    rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
+    return min(rotations, key=lambda rot: tuple(_node_key(n) for n in rot))
+
+
+# ids 1 and "1" and repeated ids give equal node keys, so rotations tie
+_derived_nodes = st.tuples(
+    st.integers(0, 1),
+    st.builds(
+        Edge, st.sampled_from([1, "1", "a", "b"]), st.sampled_from("xy"), st.sampled_from("xy")
+    ),
+)
+
+
+class TestCanonicalRotation:
+    @given(st.lists(_derived_nodes, min_size=1, max_size=8).map(tuple))
+    def test_equals_the_rotation_by_full_keys(self, seq):
+        assert _canonical_rotation(seq) == _rotation_by_full_keys(seq)
+
+    def test_ties_go_to_the_first_least_index(self):
+        a, b = Edge(1, "x", "y"), Edge("1", "y", "x")
+        seq = ((0, a), (0, b), (0, a), (0, b))
+        assert _node_key((0, a)) == _node_key((0, b))
+        assert _canonical_rotation(seq[1:] + seq[:1]) == seq[1:] + seq[:1]
+        assert _canonical_rotation(seq) == seq

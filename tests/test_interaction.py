@@ -48,6 +48,11 @@ class TestIntCompose:
         with pytest.raises(InterfaceMismatchError):
             int_compose(f, g)
 
+    def test_interface_mismatch_tells_1_from_str_1(self):
+        with pytest.raises(InterfaceMismatchError) as err:
+            int_compose(int_identity({1}), int_identity({"1"}))
+        assert str(err.value) == "codomain [1] does not match domain ['1']"
+
     def test_associative_on_flattened_forms(self):
         f = morphism({"a"}, {"b"}, [("e1", dom_vertex("a"), cod_vertex("b"))])
         g = morphism(
