@@ -28,6 +28,8 @@ from .graph import (
     GraphError,
     Path,
     Vertex,
+    _node_order,
+    _order_key,
     alternating_paths,
     flatten,
 )
@@ -211,9 +213,6 @@ class BimodularGraph:
         self.right = self._complete(right or {}, side="right")
         self._validate()
 
-    def group_at(self, v: Vertex) -> FiniteGroup:
-        return self.groups[v]
-
     def edge_set(self, v: Vertex, w: Vertex) -> tuple[EdgeId, ...]:
         return self._edge_sets.get((v, w), ())
 
@@ -363,10 +362,6 @@ def _path_orbit(bgs: tuple[BimodularGraph, BimodularGraph], start: Steps) -> fro
     return frozenset(seen)
 
 
-def _steps_key(steps: Steps) -> tuple:
-    return tuple((str(e.id), s) for s, e in steps)
-
-
 def _flat_id(steps: Steps) -> tuple:
     return flatten(tuple(e.id for _, e in steps))
 
@@ -376,14 +371,14 @@ def _orbits(
 ) -> tuple[dict[Steps, tuple], dict[tuple, Steps]]:
     """The junction-group orbits through the given paths: a map from each
     member's steps to its orbit's edge id, and from each orbit id to its
-    least member by `_steps_key`."""
+    least member, its nodes compared in `_node_order`."""
     orbit_of: dict[Steps, tuple] = {}
     rep_of: dict[tuple, Steps] = {}
     for steps in starts:
         if steps in orbit_of:
             continue
         orbit = _path_orbit(bgs, steps)
-        rep = min(orbit, key=_steps_key)
+        rep = min(orbit, key=lambda member: list(map(_node_order, member)))
         key = _flat_id(rep)
         rep_of[key] = rep
         for member in orbit:
@@ -416,7 +411,7 @@ def _quotient_graph(
     boundary = f.graph.vertices ^ g.graph.vertices
 
     edges = []
-    for key, rep in sorted(rep_of.items(), key=lambda kv: str(kv[0])):
+    for key, rep in sorted(rep_of.items(), key=lambda kv: _order_key(kv[0])):
         edges.append(Edge(key, rep[0][1].src, rep[-1][1].tgt))
     result_graph = Graph(boundary, edges)
     groups = {

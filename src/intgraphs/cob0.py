@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .graph import GraphError, InvariantViolationError, show_items
+from .graph import GraphError, InvariantViolationError, _order_key, show_items
 from .interaction import InterfaceMismatchError
 
 SRC = "src"
@@ -77,7 +77,7 @@ class Cob0Morphism:
             unknown = mates.keys() - points
             if unknown:
                 raise ValueError(
-                    f"pair references unknown boundary point {min(unknown, key=str)!r}"
+                    f"pair references unknown boundary point {min(unknown, key=_order_key)!r}"
                 )
             raise ValueError(
                 "matching must cover every boundary point, "
@@ -210,7 +210,7 @@ def decompose_segment(
     ]
     if len(outer) != 2:
         raise NotACompositeError(f"{set(pair)!r} is not two outer boundary points")
-    start = min(pair, key=str)
+    start = min(pair, key=_order_key)
     labels, end = _chase(m, n, start)
     if pair != {start, end}:
         raise NotACompositeError(f"{set(pair)!r} is not a pair of the composite")
@@ -247,7 +247,7 @@ def cob0_enumerate(
     src = frozenset(source)
     tgt = frozenset(target)
     points = sorted(
-        [source_point(a) for a in src] + [target_point(b) for b in tgt], key=str
+        [source_point(a) for a in src] + [target_point(b) for b in tgt], key=_order_key
     )
     if len(points) % 2 == 1:
         return []

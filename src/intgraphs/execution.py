@@ -27,6 +27,7 @@ from .graph import (
     Graph,
     GraphError,
     InfiniteCycleSetError,
+    _order_key,
     alternating_paths,
     flatten,
     prime_cycles,
@@ -82,15 +83,13 @@ def measure(g: Graph, h: Graph, mode: str = DIRECTED) -> ExtNat:
 
 def normal_form(g: Graph) -> tuple[frozenset, tuple]:
     """Display form of a graph: vertex set plus the (flattened id, source,
-    target) edges sorted on their strings.
+    target) edges in `_order_key` order.
 
-    Edges whose strings tie keep input order, so compare two forms with
+    The str of such a triple prints each part by repr, so only edges whose
+    triples print alike keep input order; compare two forms with
     `_same_form`, not ``==``.
     """
-    edges = sorted(
-        ((flatten(e.id), e.src, e.tgt) for e in g.edges),
-        key=lambda t: (tuple(map(str, t[0])), str(t[1]), str(t[2])),
-    )
+    edges = sorted(((flatten(e.id), e.src, e.tgt) for e in g.edges), key=_order_key)
     return (g.vertices, tuple(edges))
 
 

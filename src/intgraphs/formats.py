@@ -39,7 +39,7 @@ from typing import Any
 
 from .bimodular import BimodularGraph, FiniteGroup, cyclic_group
 from .cob0 import Cob0Morphism, source_point, target_point
-from .graph import ExtNat, Graph, GraphError, OMEGA
+from .graph import ExtNat, Graph, GraphError, OMEGA, _order_key
 from .interaction import Project
 
 
@@ -333,7 +333,7 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
             ]
             out.append(f"group {vertex_token(v)} table {';'.join(rows)}")
     for tag, tables in (("laction", bg.left), ("raction", bg.right)):
-        for (v, w), per_element in sorted(tables.items(), key=lambda kv: str(kv[0])):
+        for (v, w), per_element in sorted(tables.items(), key=lambda kv: _order_key(kv[0])):
             # image order must follow render_graph's edge order for round-trips
             edge_ids = sorted(bg.edge_set(v, w), key=id_token)
             for g in sorted(per_element):

@@ -22,7 +22,7 @@ from typing import Any
 
 from .cob0 import SRC, Cob0Morphism, cob0_compose, cob0_enumerate
 from .execution import CheckReport
-from .graph import DIRECTED, UNORIENTED, Edge, ExtNat, Graph
+from .graph import DIRECTED, UNORIENTED, Edge, ExtNat, Graph, _order_key
 from .interaction import (
     IntMorphism,
     Project,
@@ -59,8 +59,8 @@ def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
     """
     vertices = {dom_vertex(a) for a in m.source} | {cod_vertex(b) for b in m.target}
     edges = []
-    for pair in sorted(m.pairs, key=lambda p: sorted(map(str, p))):
-        x, y = sorted(pair, key=str)
+    for pair in sorted(m.pairs, key=lambda p: sorted(map(_order_key, p))):
+        x, y = sorted(pair, key=_order_key)
         u, v = _boundary_vertex(x), _boundary_vertex(y)
         edges.append(Edge(SegmentEdgeId(u, v), u, v))
         edges.append(Edge(SegmentEdgeId(v, u), v, u))

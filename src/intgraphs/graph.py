@@ -12,8 +12,9 @@ reachability-plus-acyclicity and cycle finiteness becomes a condition on
 strongly connected components.
 
 `derived_graph` compiles the pair once into int arrays: node i is one
-(side, Edge), numbered in sort-key order, so sorted successor lists are
-ascending int lists.  One iterative Tarjan pass over those arrays (Tarjan 1972)
+(side, Edge), numbered in node order (`_node_order`), so sorted successor
+lists are ascending int lists, and cycles are canonicalised by comparing
+node numbers.  One iterative Tarjan pass over those arrays (Tarjan 1972)
 answers both finiteness questions.  From the initial nodes it gives
 reachability, and folding co-reachability over its components in reverse
 topological order gives the live nodes: the path set is infinite iff a
@@ -255,12 +256,30 @@ def flatten(obj: Any) -> tuple:
     return tuple(out)
 
 
+def _compare_type_then_repr(a: Any, b: Any) -> int:
+    ka = (type(a).__name__, repr(a))
+    kb = (type(b).__name__, repr(b))
+    return (ka > kb) - (ka < kb)
+
+
+# The tie-break of `_order_key`, computed only when compared: tuple
+# comparison reaches it only when everything before it ties, so the common
+# case never calls repr.
+_tie_break = functools.cmp_to_key(_compare_type_then_repr)
+
+
+def _order_key(x: Any) -> tuple:
+    """The one order in which ids and points are presented: by str, then
+    type name, then repr.  With str first, values that print apart keep
+    their str order; ``1`` comes before ``"1"`` (type name int < str)."""
+    return (str(x), _tie_break(x))
+
+
 def show_items(items: Iterable) -> str:
     """An error message's list of items: each by repr, so ``1`` and
-    ``"1"`` read apart, ordered by str, then type name, then repr, so the
-    text does not depend on set iteration order."""
-    ordered = sorted(items, key=lambda x: (str(x), type(x).__name__, repr(x)))
-    return "[" + ", ".join(map(repr, ordered)) + "]"
+    ``"1"`` read apart, in `_order_key` order, so the text does not depend
+    on set iteration order."""
+    return "[" + ", ".join(map(repr, sorted(items, key=_order_key))) + "]"
 
 
 @dataclass(frozen=True)
@@ -315,9 +334,11 @@ class Path:
 DerivedNode = tuple[int, Edge]
 
 
-def _node_key(node: DerivedNode) -> tuple[str, int]:
+def _node_order(node: DerivedNode) -> tuple:
+    """A derived node's key in node order: its edge id's str, then its side,
+    then the type-aware tie-break of `_order_key`."""
     side, edge = node
-    return (str(edge.id), side)
+    return (str(edge.id), side, _tie_break(edge.id))
 
 
 @dataclass(frozen=True)
@@ -325,7 +346,7 @@ class DerivedGraph:
     """Edges-as-nodes view of an interacting pair, compiled to int arrays.
 
     Node ``i`` is ``nodes[i]``, a (side, Edge) with side 0 for the first
-    graph and 1 for the second, numbered in `_node_key` order.  ``succ[i]``
+    graph and 1 for the second, numbered in `_node_order`.  ``succ[i]``
     lists, ascending, the nodes that may follow node i in an alternating
     path.  Initial nodes have their source in the boundary (symmetric
     difference of the vertex sets), final nodes their target.  Initial
@@ -359,7 +380,7 @@ class DerivedGraph:
 def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
     boundary = g.vertices ^ h.vertices
     nodes = sorted(
-        [(0, e) for e in g.edges] + [(1, e) for e in h.edges], key=_node_key
+        [(0, e) for e in g.edges] + [(1, e) for e in h.edges], key=_node_order
     )
     by_source: dict[tuple[int, Vertex], list[int]] = {}
     for i, (side, edge) in enumerate(nodes):
@@ -465,7 +486,10 @@ def _live_order(dg: DerivedGraph) -> tuple[list[int], list[bool]]:
 def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     """All alternating paths with source AND target in the boundary
     (symmetric difference of the vertex sets) -- equivalently, the finite
-    maximal alternating paths, sorted by (length, flat id as strings).
+    maximal alternating paths, sorted by length, then by the strs of the
+    flat id's base ids.  Paths that tie on both keep depth-first order over
+    the derived graph's node numbers, so the order does not depend on the
+    order in which either graph lists its edges.
 
     Raises InfinitePathSetError when some derived cycle is both reachable
     from a boundary source and co-reachable from a boundary sink, i.e. when
@@ -537,8 +561,8 @@ def count_paths(g: Graph, h: Graph) -> int:
 
 
 def _canonical_rotation(seq: tuple[DerivedNode, ...]) -> tuple[DerivedNode, ...]:
-    """The least rotation by node keys; ties go to the first least index."""
-    keys = [_node_key(n) for n in seq]
+    """The least rotation in node order; ties go to the first least index."""
+    keys = [_node_order(n) for n in seq]
     i = min(range(len(seq)), key=lambda i: keys[i:] + keys[:i])
     return seq[i:] + seq[:i]
 
@@ -574,7 +598,7 @@ class CycleClass:
     """An equivalence class of prime alternating cycles.
 
     ``steps`` is the canonical representative: the lexicographically least
-    rotation of the (side, Edge) sequence, edge ids compared as strings.
+    rotation of the (side, Edge) sequence in `_node_order`.
     In unoriented mode the class also absorbs the edgewise reversal; the
     representative is then the least canonical form over the merged
     classes.
@@ -625,7 +649,7 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
     dg = derived_graph(g, h)
     nodes, succ = dg.nodes, dg.succ
     sccs, comp = _sccs(succ, range(len(succ)))
-    representatives: list[tuple[DerivedNode, ...]] = []
+    cycles: list[list[int]] = []  # as node numbers
     for c, members in enumerate(sccs):
         if len(members) == 1:
             # No self-arcs can exist (an arc needs opposite sides), so a
@@ -635,10 +659,13 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
             inside = [w for w in succ[v] if comp[w] == c]
             if len(inside) > 1:
                 raise InfiniteCycleSetError(nodes[v], [nodes[w] for w in inside])
-        cycle = _cycle_from(min(members), comp, succ)
-        representatives.append(_canonical_rotation(tuple(nodes[v] for v in cycle)))
+        # Node numbers follow node order, so the cycle's least rotation is
+        # the one that starts at its least node, and sorting the number
+        # lists sorts the cycles.
+        cycles.append(_cycle_from(min(members), comp, succ))
 
-    representatives.sort(key=lambda seq: tuple(_node_key(n) for n in seq))
+    cycles.sort()
+    representatives = [tuple(nodes[v] for v in cycle) for cycle in cycles]
     if mode == DIRECTED:
         return [CycleClass(seq, DIRECTED) for seq in representatives]
 

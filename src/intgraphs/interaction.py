@@ -14,7 +14,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .graph import DIRECTED, Edge, ExtNat, Graph, GraphError, flatten, show_items
+from .graph import (
+    DIRECTED,
+    Edge,
+    ExtNat,
+    Graph,
+    GraphError,
+    _order_key,
+    flatten,
+    show_items,
+)
 from .execution import execute, measure
 
 DOM = "dom"
@@ -65,7 +74,7 @@ def int_identity(points: Iterable[Any]) -> IntMorphism:
     """The identity morphism: two opposite arcs over each point."""
     pts = frozenset(points)
     edges = []
-    for a in sorted(pts, key=str):
+    for a in sorted(pts, key=_order_key):
         edges.append(Edge(IdentityEdgeId(a, True), dom_vertex(a), cod_vertex(a)))
         edges.append(Edge(IdentityEdgeId(a, False), cod_vertex(a), dom_vertex(a)))
     vertices = {dom_vertex(a) for a in pts} | {cod_vertex(a) for a in pts}

@@ -17,7 +17,7 @@ from intgraphs.graph import (
     Path,
     UnknownVertexError,
     _canonical_rotation,
-    _node_key,
+    _node_order,
     alternating_paths,
     derived_graph,
     flatten,
@@ -199,7 +199,35 @@ class TestAlternatingPaths:
         assert verdict == INFINITE
 
 
+class TestOrderOfIdsThatPrintAlike:
+    """Ids 1 and "1" print alike; 1 comes first (type name int < str),
+    whatever order the graphs list their edges in."""
+
+    F_EDGES = [(1, "a", "b"), ("1", "c", "d")]
+
+    def test_prime_cycles(self):
+        H = g("abcd", [(2, "b", "a"), ("2", "d", "c")])
+        for edges in (self.F_EDGES, self.F_EDGES[::-1]):
+            for mode in (DIRECTED, UNORIENTED):
+                classes = prime_cycles(g("abcd", edges), H, mode)
+                assert [c.edge_ids for c in classes] == [(1, 2), ("1", "2")]
+
+    def test_alternating_paths(self):
+        H = g("bdxy", [(2, "b", "x"), ("2", "d", "y")])
+        for edges in (self.F_EDGES, self.F_EDGES[::-1]):
+            paths = alternating_paths(g("abcd", edges), H)
+            assert [p.flat_id for p in paths] == [(1, 2), ("1", "2")]
+
+
 class TestPrimeCycles:
+    def test_classes_come_in_node_order(self):
+        # "e" leads from the a-b cycle to the c-d cycle, so the c-d
+        # component is completed first
+        G = g("xyzw", [("a", "x", "y"), ("c", "z", "w")])
+        H = g("xyzw", [("b", "y", "x"), ("d", "w", "z"), ("e", "y", "z")])
+        classes = prime_cycles(G, H)
+        assert [c.edge_ids for c in classes] == [("a", "b"), ("c", "d")]
+
     def test_single_two_cycle(self):
         G = g({"a", "b"}, [("e", "a", "b")])
         H = g({"a", "b"}, [("f", "b", "a")])
@@ -330,12 +358,15 @@ class TestPathInvariants:
 
 
 def _rotation_by_full_keys(seq):
-    """The least rotation, each rotation's keys computed on their own."""
+    """The least rotation in node order, each rotation's keys computed on
+    their own and in full: str of the id, side, type name, repr."""
+    key = lambda node: (str(node[1].id), node[0], type(node[1].id).__name__, repr(node[1].id))
     rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
-    return min(rotations, key=lambda rot: tuple(_node_key(n) for n in rot))
+    return min(rotations, key=lambda rot: tuple(key(n) for n in rot))
 
 
-# ids 1 and "1" and repeated ids give equal node keys, so rotations tie
+# ids 1 and "1" reach the type-aware tie-break; a repeated id with other
+# endpoints gives an equal node key, so rotations tie
 _derived_nodes = st.tuples(
     st.integers(0, 1),
     st.builds(
@@ -350,8 +381,14 @@ class TestCanonicalRotation:
         assert _canonical_rotation(seq) == _rotation_by_full_keys(seq)
 
     def test_ties_go_to_the_first_least_index(self):
-        a, b = Edge(1, "x", "y"), Edge("1", "y", "x")
-        seq = ((0, a), (0, b), (0, a), (0, b))
-        assert _node_key((0, a)) == _node_key((0, b))
-        assert _canonical_rotation(seq[1:] + seq[:1]) == seq[1:] + seq[:1]
-        assert _canonical_rotation(seq) == seq
+        # a repeated node is a genuine tie: (a, b, a, b) equals its rotation by 2
+        a, b = (0, Edge("a", "x", "y")), (1, Edge("b", "y", "x"))
+        assert _canonical_rotation((b, a, b, a)) == (a, b, a, b)
+        assert _canonical_rotation((a, b, a, b)) == (a, b, a, b)
+        # c is a with its endpoints swapped: an equal key, so the tied
+        # rotations differ and show which one is taken
+        c = (0, Edge("a", "y", "x"))
+        assert _node_order(a) == _node_order(c)
+        assert _canonical_rotation((a, b, c, b)) == (a, b, c, b)
+        assert _canonical_rotation((c, b, a, b)) == (c, b, a, b)
+        assert _canonical_rotation((b, c, b, a)) == (c, b, a, b)

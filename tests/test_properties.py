@@ -3,18 +3,22 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from intgraphs.campaigns import random_pair, random_triple, trial_rng
-from intgraphs.execution import execute, graphs_equal_flattened, measure
+from intgraphs.execution import execute, graphs_equal_flattened, measure, normal_form
+from intgraphs.functor import SegmentEdgeId
 from intgraphs.graph import (
     DIRECTED,
     UNORIENTED,
     Graph,
+    GraphError,
     InfiniteCycleSetError,
     InfinitePathSetError,
     _is_reversal,
+    alternating_paths,
     flatten,
     prime_cycles,
+    show_items,
 )
-from intgraphs.interaction import Project, project_execute, project_unit
+from intgraphs.interaction import IdentityEdgeId, Project, project_execute, project_unit
 
 from oracle import FINITE, oracle_paths
 
@@ -174,3 +178,72 @@ def test_project_wager_associative(seed):
         return
     assert left.wager == right.wager
     assert graphs_equal_flattened(left.graph, right.graph)
+
+
+# Ids of mixed types that print alike: 1 and "1", tuples of them, and the
+# two id types whose own __str__ prints labels 1 and "1" alike.
+labels = st.sampled_from([1, "1", 2, "2"])
+mixed_ids = st.one_of(
+    labels,
+    st.tuples(labels, labels),
+    st.builds(IdentityEdgeId, labels, st.booleans()),
+    st.builds(SegmentEdgeId, st.tuples(st.just("d"), labels), st.tuples(st.just("c"), labels)),
+)
+
+
+@st.composite
+def interacting_pairs(draw):
+    """F and G glued from gadgets, each on its own middle vertices, so that
+    every path and cycle set is finite: a 2-path a -> m (F), m -> c (G); a
+    2-cycle x -> y (F), y -> x (G); and two 2-cycles that are each other's
+    reversal.  Ids come from ``mixed_ids``, so different gadgets tie on str."""
+    kinds = draw(st.lists(st.sampled_from([1, 2, 3]), max_size=5))
+    sizes = [2 if kind == 3 else 1 for kind in kinds]
+    ids = st.lists(mixed_ids, unique=True, min_size=sum(sizes), max_size=sum(sizes))
+    f_ids, g_ids = iter(draw(ids)), iter(draw(ids))
+    f_edges, g_edges, middle = [], [], set()
+    for i, kind in enumerate(kinds):
+        if kind == 1:
+            m = ("m", i)
+            f_edges.append((next(f_ids), "a", m))
+            g_edges.append((next(g_ids), m, "c"))
+            middle.add(m)
+            continue
+        x, y = ("x", i), ("y", i)
+        f_edges.append((next(f_ids), x, y))
+        g_edges.append((next(g_ids), y, x))
+        if kind == 3:
+            f_edges.append((next(f_ids), y, x))
+            g_edges.append((next(g_ids), x, y))
+        middle |= {x, y}
+    return Graph(middle | {"a"}, f_edges), Graph(middle | {"c"}, g_edges)
+
+
+def _results(f, g):
+    cycles = lambda mode: [c.edge_ids for c in prime_cycles(f, g, mode)]
+    try:
+        executed = normal_form(execute(f, g))
+    except GraphError as exc:  # two paths whose flat ids collide
+        executed = type(exc)
+    return (
+        cycles(DIRECTED),
+        cycles(UNORIENTED),
+        [p.flat_id for p in alternating_paths(f, g)],
+        executed,
+    )
+
+
+def _permuted(data, graph):
+    return Graph(graph.vertices, data.draw(st.permutations(graph.edges)))
+
+
+@given(interacting_pairs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_results_do_not_depend_on_edge_order(pair, data):
+    f, g = pair
+    assert _results(_permuted(data, f), _permuted(data, g)) == _results(f, g)
+
+
+@given(st.lists(mixed_ids, unique=True, max_size=6), st.data())
+def test_show_items_does_not_depend_on_item_order(items, data):
+    assert show_items(data.draw(st.permutations(items))) == show_items(items)
