@@ -41,7 +41,8 @@ class PreconditionViolationError(GraphError):
 
 def execute(g: Graph, h: Graph) -> Graph:
     """Plug g and h together: vertices are the symmetric difference, edges
-    the boundary-to-boundary alternating paths (flattened ids).
+    the boundary-to-boundary alternating paths (flattened ids), listed in
+    the node order `alternating_paths` gives them.
 
     Precondition: g and h have disjoint base edge ids, and flattening is
     injective on each operand's own ids, so that every path's flattened id
@@ -50,7 +51,8 @@ def execute(g: Graph, h: Graph) -> Graph:
     normally.  When two paths do get the same flat id, the shared ids are
     named in a PreconditionViolationError.  Ids of one graph that flatten
     alike, such as ``x`` and ``("x",)``, share no id with the other operand
-    and raise the plain DuplicateEdgeIdError.
+    and raise the plain DuplicateEdgeIdError, naming the first flat id that
+    repeats in that order.
 
     Raises InfinitePathSetError when the path set is infinite.
     """

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from .cob0 import SRC, Cob0Morphism, cob0_compose, cob0_enumerate
@@ -58,9 +59,14 @@ def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
     distinct points.  Circles are invisible here.
     """
     vertices = {dom_vertex(a) for a in m.source} | {cod_vertex(b) for b in m.target}
+    # each point keyed once, for the sort within its pair and of the pairs
+    ends = []
+    for pair in m.pairs:
+        (kx, x), (ky, y) = sorted([(_order_key(p), p) for p in pair], key=itemgetter(0))
+        ends.append((kx, ky, x, y))
+    ends.sort(key=itemgetter(0, 1))
     edges = []
-    for pair in sorted(m.pairs, key=lambda p: sorted(map(_order_key, p))):
-        x, y = sorted(pair, key=_order_key)
+    for _, _, x, y in ends:
         u, v = _boundary_vertex(x), _boundary_vertex(y)
         edges.append(Edge(SegmentEdgeId(u, v), u, v))
         edges.append(Edge(SegmentEdgeId(v, u), v, u))

@@ -13,14 +13,15 @@ strongly connected components.
 
 `derived_graph` compiles the pair once into int arrays: node i is one
 (side, Edge), numbered in node order (`_node_order`), so sorted successor
-lists are ascending int lists, and cycles are canonicalised by comparing
-node numbers.  One iterative Tarjan pass over those arrays (Tarjan 1972)
-answers both finiteness questions.  From the initial nodes it gives
-reachability, and folding co-reachability over its components in reverse
-topological order gives the live nodes: the path set is infinite iff a
-live component is nontrivial (`alternating_paths`, `count_paths`).  Over
-all nodes it gives the cycle classes: the cycle set is finite iff every
-nontrivial component is a single simple cycle (`prime_cycles`).
+lists are ascending int lists, and paths and cycles are ordered, and
+cycles canonicalised, by comparing node numbers.  One iterative Tarjan
+pass over those arrays (Tarjan 1972) answers both finiteness questions.
+From the initial nodes it gives reachability, and folding co-reachability
+over its components in reverse topological order gives the live nodes:
+the path set is infinite iff a live component is nontrivial
+(`alternating_paths`, `count_paths`).  Over all nodes it gives the cycle
+classes: the cycle set is finite iff every nontrivial component is a
+single simple cycle (`prime_cycles`).
 
 Vertices and edge ids are arbitrary hashable values.  Tuple ids are
 treated as composite (sequences of base ids); `flatten` computes the flat
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 Vertex = Hashable
 EdgeId = Hashable
@@ -157,17 +158,19 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+@functools.total_ordering
 class ExtNat:
     """A natural number extended with an absorbing infinity (omega).
 
     Addition never overflows: omega + anything = omega.  Instances are
-    immutable and totally ordered, omega greatest.
+    immutable and totally ordered, omega greatest.  A finite value equals,
+    and hashes like, its plain int.  Bools are rejected, not read as 0/1.
     """
 
     __slots__ = ("value",)
 
     def __init__(self, value: int | None):
-        if value is not None and (not isinstance(value, int) or value < 0):
+        if value is not None and (type(value) is bool or not isinstance(value, int) or value < 0):
             raise ValueError(f"extended natural must be >= 0 or omega, got {value!r}")
         object.__setattr__(self, "value", value)
 
@@ -181,7 +184,7 @@ class ExtNat:
     def _coerce(self, other: Any) -> "ExtNat":
         if isinstance(other, ExtNat):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and type(other) is not bool:
             return ExtNat(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -196,11 +199,10 @@ class ExtNat:
     __radd__ = __add__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
-        return self.value == other.value
+        return self.value == o.value
 
     def __lt__(self, other: Any) -> bool:
         o = self._coerce(other)
@@ -212,17 +214,8 @@ class ExtNat:
             return True
         return self.value < o.value
 
-    def __le__(self, other: Any) -> bool:
-        return self == self._coerce(other) or self < other
-
-    def __gt__(self, other: Any) -> bool:
-        return not self <= self._coerce(other)
-
-    def __ge__(self, other: Any) -> bool:
-        return not self < self._coerce(other)
-
     def __hash__(self) -> int:
-        return hash(("ExtNat", self.value))
+        return hash(self.value)
 
     def __int__(self) -> int:
         if self.is_omega:
@@ -486,10 +479,10 @@ def _live_order(dg: DerivedGraph) -> tuple[list[int], list[bool]]:
 def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     """All alternating paths with source AND target in the boundary
     (symmetric difference of the vertex sets) -- equivalently, the finite
-    maximal alternating paths, sorted by length, then by the strs of the
-    flat id's base ids.  Paths that tie on both keep depth-first order over
-    the derived graph's node numbers, so the order does not depend on the
-    order in which either graph lists its edges.
+    maximal alternating paths, in node order: compared step by step by the
+    derived graph's node numbers, as `prime_cycles` orders cycles.  So the
+    order does not depend on the order in which either graph lists its
+    edges.
 
     Raises InfinitePathSetError when some derived cycle is both reachable
     from a boundary source and co-reachable from a boundary sink, i.e. when
@@ -498,33 +491,27 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     dg = derived_graph(g, h)
     _, live = _live_order(dg)
     succ, final = dg.succ, dg.is_final
-    # per node, once: a path's flat id and sort key are concatenations
+    # per node, once: a path's flat id is a concatenation
     flat_ids = [flatten(edge.id) for _, edge in dg.nodes]
-    sort_keys = [tuple(map(str, flat)) for flat in flat_ids]
     steps1 = [(node,) for node in dg.nodes]
     # Depth-first over the live DAG from a virtual root whose children are
-    # the initial nodes, in ascending order.  prefix[d] is the walk's first
-    # d nodes as (steps, flat id, sort key).  Each emitted path is recorded
-    # as (steps of its prefix, last node, flat id).
+    # the initial nodes, in ascending order.  Successor lists ascend too,
+    # and no path is a prefix of another (final nodes have no outgoing
+    # arcs), so paths are emitted in node order.  prefix[d] is the walk's
+    # first d nodes as (steps, flat id).  Each emitted path is recorded as
+    # (steps of its prefix, last node, flat id).
     found: list[tuple[tuple, int, tuple]] = []
-    prefix: list[tuple[tuple, tuple, tuple]] = [((), (), ())]
+    prefix: list[tuple[tuple, tuple]] = [((), ())]
     branches: list[Iterator[int]] = [(i for i, flag in enumerate(dg.is_initial) if flag)]
-    # Emission order is usually already sorted; then no sort keys are kept.
-    ordered = True
-    last: tuple = ()
     while branches:
-        steps, flat, key = prefix[-1]
+        steps, flat = prefix[-1]
         for w in branches[-1]:
             if not live[w]:
                 continue
             if final[w]:
                 found.append((steps, w, flat + flat_ids[w]))
-                rank = (len(prefix), key + sort_keys[w])
-                if rank < last:
-                    ordered = False
-                last = rank
             else:
-                prefix.append((steps + steps1[w], flat + flat_ids[w], key + sort_keys[w]))
+                prefix.append((steps + steps1[w], flat + flat_ids[w]))
                 branches.append(iter(succ[w]))
                 break
         else:
@@ -539,8 +526,6 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
         path = Path(steps + steps1[w])
         object.__setattr__(path, "flat_id", flat)  # fills the cached property
         paths[i] = path
-    if not ordered:
-        paths.sort(key=lambda p: (len(p), tuple(map(str, p.flat_id))))
     return paths
 
 
@@ -560,9 +545,10 @@ def count_paths(g: Graph, h: Graph) -> int:
     return sum(count[v] for v in order if dg.is_initial[v])
 
 
-def _canonical_rotation(seq: tuple[DerivedNode, ...]) -> tuple[DerivedNode, ...]:
-    """The least rotation in node order; ties go to the first least index."""
-    keys = [_node_order(n) for n in seq]
+def _canonical_rotation(seq: Sequence, key: Callable[[Any], tuple] = _node_order) -> Sequence:
+    """The least rotation of ``seq`` by its items' keys, in node order by
+    default; ties go to the first least index."""
+    keys = [key(n) for n in seq]
     i = min(range(len(seq)), key=lambda i: keys[i:] + keys[:i])
     return seq[i:] + seq[:i]
 
@@ -659,10 +645,16 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
             inside = [w for w in succ[v] if comp[w] == c]
             if len(inside) > 1:
                 raise InfiniteCycleSetError(nodes[v], [nodes[w] for w in inside])
-        # Node numbers follow node order, so the cycle's least rotation is
-        # the one that starts at its least node, and sorting the number
-        # lists sorts the cycles.
-        cycles.append(_cycle_from(min(members), comp, succ))
+        # Node numbers follow node order, so the cycle's least rotation
+        # starts at its least node, and sorting the number lists sorts the
+        # cycles.  Only nodes tied in full (ids alike in str, type name and
+        # repr, such as two NaNs) are numbered by input order, one after
+        # another; when the least node ties with the next, the keys choose.
+        least = min(members)
+        cycle = _cycle_from(least, comp, succ)
+        if least + 1 < len(nodes) and _node_order(nodes[least]) == _node_order(nodes[least + 1]):
+            cycle = _canonical_rotation(cycle, lambda v: _node_order(nodes[v]))
+        cycles.append(cycle)
 
     cycles.sort()
     representatives = [tuple(nodes[v] for v in cycle) for cycle in cycles]

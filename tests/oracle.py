@@ -8,7 +8,8 @@ oracle enumerates simple alternating cycles directly, declaring the cycle
 set infinite as soon as some edge lies on two distinct simple cycles.
 Both work straight off the two graphs' edge lists.  The gluing oracle
 takes connected components of the union of the two matchings instead of
-chasing chains.
+chasing chains.  The rotation oracle computes every rotation's node keys in
+full instead of comparing derived-graph node numbers.
 """
 
 from __future__ import annotations
@@ -186,3 +187,11 @@ def oracle_cob0_compose(m: Cob0Morphism, n: Cob0Morphism):
         else:
             circles += 1
     return frozenset(pairs), circles
+
+
+def rotation_by_full_keys(seq):
+    """The least rotation in node order, each rotation's keys computed on
+    their own and in full: str of the id, side, type name, repr."""
+    key = lambda node: (str(node[1].id), node[0], type(node[1].id).__name__, repr(node[1].id))
+    rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
+    return min(rotations, key=lambda rot: tuple(key(n) for n in rot))

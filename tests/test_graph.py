@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +26,7 @@ from intgraphs.graph import (
     prime_cycles,
 )
 
-from oracle import FINITE, INFINITE, oracle_cycles, oracle_paths
+from oracle import FINITE, INFINITE, oracle_cycles, oracle_paths, rotation_by_full_keys
 
 
 def g(vertices, edges=()):
@@ -80,6 +82,30 @@ class TestExtNat:
     def test_str(self):
         assert str(OMEGA) == "omega"
         assert str(ExtNat(4)) == "4"
+
+    def test_order_against_a_non_number_names_both_types(self):
+        for compare in (
+            lambda: ExtNat(1) > "a",
+            lambda: ExtNat(1) >= "a",
+            lambda: ExtNat(1) <= "a",
+            lambda: OMEGA < "a",
+        ):
+            with pytest.raises(TypeError, match="'ExtNat' and 'str'"):
+                compare()
+        assert ExtNat(2) > 1 and ExtNat(2) >= 2 and OMEGA >= OMEGA and not ExtNat(3) <= 2
+
+    def test_hashes_like_its_int(self):
+        assert hash(ExtNat(1)) == hash(1)
+        assert 1 in {ExtNat(1)} and ExtNat(1) in {1}
+        assert {ExtNat(2): "two"}[2] == "two"
+
+    def test_bool_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                ExtNat(flag)
+        assert ExtNat(1) != True  # noqa: E712
+        with pytest.raises(TypeError):
+            ExtNat(1) + True
 
 
 class TestFlatten:
@@ -217,6 +243,35 @@ class TestOrderOfIdsThatPrintAlike:
         for edges in (self.F_EDGES, self.F_EDGES[::-1]):
             paths = alternating_paths(g("abcd", edges), H)
             assert [p.flat_id for p in paths] == [(1, 2), ("1", "2")]
+
+
+class TestFullyTiedIds:
+    """Two NaN ids agree in str, type name and repr but are unequal, so
+    their nodes tie in node order and are numbered by input order.  The
+    cycle through both starts where the keys say, at the NaN followed by
+    "x", whatever order F lists its edges in."""
+
+    H = g("abcd", [("y", "b", "c"), ("x", "d", "a")])
+
+    def _check(self, edges, start):
+        for mode in (DIRECTED, UNORIENTED):
+            classes = prime_cycles(g("abcdpq", edges), self.H, mode)
+            assert len(classes) == 1
+            assert [str(i) for i in classes[0].edge_ids] == ["nan", "x", "nan", "y"]
+            assert classes[0].steps[0][1].id is start
+
+    def test_both_edge_orders(self):
+        n1, n2 = float("nan"), float("nan")
+        edges = [(n1, "a", "b"), (n2, "c", "d")]
+        for order in (edges, edges[::-1]):
+            self._check(order, n2)
+
+    def test_a_tied_node_outside_the_cycle(self):
+        # the NaN on p -> q is on no cycle but may be numbered between the two
+        n1, n2, n3 = float("nan"), float("nan"), float("nan")
+        edges = [(n1, "a", "b"), (n3, "p", "q"), (n2, "c", "d")]
+        for order in itertools.permutations(edges):
+            self._check(list(order), n2)
 
 
 class TestPrimeCycles:
@@ -357,14 +412,6 @@ class TestPathInvariants:
         assert str(err.value) == "edges 'e2', 'e3' do not compose"
 
 
-def _rotation_by_full_keys(seq):
-    """The least rotation in node order, each rotation's keys computed on
-    their own and in full: str of the id, side, type name, repr."""
-    key = lambda node: (str(node[1].id), node[0], type(node[1].id).__name__, repr(node[1].id))
-    rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
-    return min(rotations, key=lambda rot: tuple(key(n) for n in rot))
-
-
 # ids 1 and "1" reach the type-aware tie-break; a repeated id with other
 # endpoints gives an equal node key, so rotations tie
 _derived_nodes = st.tuples(
@@ -378,7 +425,7 @@ _derived_nodes = st.tuples(
 class TestCanonicalRotation:
     @given(st.lists(_derived_nodes, min_size=1, max_size=8).map(tuple))
     def test_equals_the_rotation_by_full_keys(self, seq):
-        assert _canonical_rotation(seq) == _rotation_by_full_keys(seq)
+        assert _canonical_rotation(seq) == rotation_by_full_keys(seq)
 
     def test_ties_go_to_the_first_least_index(self):
         # a repeated node is a genuine tie: (a, b, a, b) equals its rotation by 2

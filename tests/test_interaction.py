@@ -147,6 +147,11 @@ class TestProjects:
         p = Project(2, Graph.empty())
         assert p.wager == ExtNat(2)
 
+    def test_bool_wager_rejected(self):
+        # a bool wager would render as "wager True", which parse_project rejects
+        with pytest.raises(ValueError):
+            Project(True, Graph.empty())
+
 
 class TestWagerAssociativity:
     def test_wager_associative_on_thousand_random_triples(self):

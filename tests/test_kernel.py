@@ -17,6 +17,7 @@ from intgraphs.graph import (
     InfinitePathSetError,
     alternating_paths,
     count_paths,
+    derived_graph,
     flatten,
     prime_cycles,
 )
@@ -112,8 +113,11 @@ def test_paths_carry_their_flat_ids_and_come_sorted(seed):
         return
     for p in paths:
         assert p.flat_id == flatten(tuple(e.id for e in p.edges))
-    keys = [(len(p), tuple(map(str, p.flat_id))) for p in paths]
-    assert keys == sorted(keys)
+    # node order: each path's node-number sequence exceeds the previous one's
+    number = {node: i for i, node in enumerate(derived_graph(g, h).nodes)}
+    keys = [[number[step] for step in p.steps] for p in paths]
+    for previous, key in zip(keys, keys[1:]):
+        assert previous < key
 
 
 @given(seeds)
