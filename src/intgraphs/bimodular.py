@@ -9,7 +9,8 @@ along a middle vertex identifies the pair (e, e') with
 (e . b, b^-1 . e') for every b in the middle group, i.e. composite edges
 are orbits of pairs, exactly as in a tensor product of bimodules.
 Execution generalises this to alternating paths, quotienting by the
-product of the interface-junction groups.
+product of the interface-junction groups.  Orbits are closed over the
+kernel's paths in node order; the first member met names the orbit.
 
 All groups are finite with explicit multiplication tables; cyclic and
 small permutation groups are provided as builders.
@@ -28,9 +29,8 @@ from .graph import (
     GraphError,
     Path,
     Vertex,
-    _node_order,
-    _order_key,
     alternating_paths,
+    derived_graph,
     flatten,
 )
 from .execution import CheckReport
@@ -305,20 +305,20 @@ def bimod_compose2(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     """Compose along length-2 paths, identifying (e, e') with
     (e . b, b^-1 . e') for b in the middle vertex's group.
 
-    Composite edges are the orbits; boundary actions descend to them.
+    The length-2 paths are the arcs of the derived graph from an initial
+    node of f to a final node of g, read in node order.  Composite edges
+    are the orbits; boundary actions descend to them.
     """
     _check_compatible(f, g)
-    boundary = f.graph.vertices ^ g.graph.vertices
-    bgs = (f, g)
+    dg = derived_graph(f.graph, g.graph)
     starts = [
-        ((0, f.graph.edge(e_id)), (1, g.graph.edge(e2_id)))
-        for (v, mid), f_ids in f._edge_sets.items()
-        for (mid2, w), g_ids in g._edge_sets.items()
-        if mid2 == mid and v in boundary and w in boundary
-        for e_id, e2_id in itertools.product(f_ids, g_ids)
+        (dg.nodes[i], dg.nodes[j])
+        for i, (side, _) in enumerate(dg.nodes)
+        if side == 0 and dg.is_initial[i]
+        for j in dg.succ[i]
+        if dg.is_final[j]
     ]
-    orbit_of, rep_of = _orbits(bgs, starts)
-    return _quotient_graph(bgs, orbit_of, rep_of)
+    return _quotient_graph((f, g), *_orbits((f, g), starts))
 
 
 Steps = tuple[tuple[int, Edge], ...]
@@ -362,65 +362,59 @@ def _path_orbit(bgs: tuple[BimodularGraph, BimodularGraph], start: Steps) -> fro
     return frozenset(seen)
 
 
-def _flat_id(steps: Steps) -> tuple:
-    return flatten(tuple(e.id for _, e in steps))
-
-
 def _orbits(
     bgs: tuple[BimodularGraph, BimodularGraph], starts: Iterable[Steps]
-) -> tuple[dict[Steps, tuple], dict[tuple, Steps]]:
-    """The junction-group orbits through the given paths: a map from each
-    member's steps to its orbit's edge id, and from each orbit id to its
-    least member, its nodes compared in `_node_order`."""
+) -> tuple[dict[Steps, tuple], list[tuple[tuple, Steps]]]:
+    """The junction-group orbits through ``starts``: a map from each
+    member's steps to its orbit's edge id, and the (id, representative)
+    pairs in order of arrival.  The starts come in node order and hold
+    every member of each orbit (a junction move keeps vertices and sides),
+    so the first member met is the least; its flat id is the orbit's id."""
     orbit_of: dict[Steps, tuple] = {}
-    rep_of: dict[tuple, Steps] = {}
+    reps: list[tuple[tuple, Steps]] = []
     for steps in starts:
         if steps in orbit_of:
             continue
-        orbit = _path_orbit(bgs, steps)
-        rep = min(orbit, key=lambda member: list(map(_node_order, member)))
-        key = _flat_id(rep)
-        rep_of[key] = rep
-        for member in orbit:
+        key = flatten(tuple(e.id for _, e in steps))
+        reps.append((key, steps))
+        for member in _path_orbit(bgs, steps):
             orbit_of[member] = key
-    return orbit_of, rep_of
+    return orbit_of, reps
 
 
 def _path_quotient(
     f: BimodularGraph, g: BimodularGraph
-) -> tuple[list[Path], dict[Steps, tuple], dict[tuple, Steps]]:
+) -> tuple[list[Path], dict[Steps, tuple], list[tuple[tuple, Steps]]]:
     """Orbits of the alternating paths between the underlying graphs.
 
     Returns the paths, a map from each path's steps to its orbit's edge id,
-    and a map from each orbit id to its canonical representative.
+    and the (id, representative) pairs in node order.
     """
     _check_compatible(f, g)
     paths = alternating_paths(f.graph, g.graph)
-    orbit_of, rep_of = _orbits((f, g), [p.steps for p in paths])
-    return paths, orbit_of, rep_of
+    orbit_of, reps = _orbits((f, g), [p.steps for p in paths])
+    return paths, orbit_of, reps
 
 
 def _quotient_graph(
     bgs: tuple[BimodularGraph, BimodularGraph],
     orbit_of: dict[Steps, tuple],
-    rep_of: dict[tuple, Steps],
+    reps: list[tuple[tuple, Steps]],
 ) -> BimodularGraph:
-    """One boundary edge per orbit, with the boundary actions descending to
-    the orbits through their representatives."""
+    """One boundary edge per orbit, in the order of ``reps``, with the
+    boundary actions descending to the orbits through their representatives."""
     f, g = bgs
     boundary = f.graph.vertices ^ g.graph.vertices
-
-    edges = []
-    for key, rep in sorted(rep_of.items(), key=lambda kv: _order_key(kv[0])):
-        edges.append(Edge(key, rep[0][1].src, rep[-1][1].tgt))
-    result_graph = Graph(boundary, edges)
+    result_graph = Graph(
+        boundary, [Edge(key, rep[0][1].src, rep[-1][1].tgt) for key, rep in reps]
+    )
     groups = {
         v: (f.groups[v] if v in f.graph.vertices else g.groups[v]) for v in boundary
     }
 
     left: dict = {}
     right: dict = {}
-    for key, rep in rep_of.items():
+    for key, rep in reps:
         s0, e0 = rep[0]
         sn, en = rep[-1]
         pair = (e0.src, en.tgt)
@@ -443,8 +437,8 @@ def bimod_execute(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     underlying graphs.  Raises InfinitePathSetError via the same detector
     as plain execution.
     """
-    _, orbit_of, rep_of = _path_quotient(f, g)
-    return _quotient_graph((f, g), orbit_of, rep_of)
+    _, orbit_of, reps = _path_quotient(f, g)
+    return _quotient_graph((f, g), orbit_of, reps)
 
 
 def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:

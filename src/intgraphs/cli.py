@@ -23,7 +23,7 @@ from .campaigns import (
     campaign_trefoil,
 )
 from .cob0 import cob0_compose, cob0_identity
-from .execution import PreconditionViolationError, execute, measure
+from .execution import execute, measure
 from .formats import (
     ParseError,
     parse_cobordism,
@@ -40,7 +40,6 @@ from .graph import (
     InfiniteCycleSetError,
     InfinitePathSetError,
 )
-from .interaction import InterfaceMismatchError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -223,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InfinitePathSetError, InfiniteCycleSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFINITE
-    except (ParseError, InterfaceMismatchError, PreconditionViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -126,10 +126,6 @@ def check_functoriality(m: Cob0Morphism, n: Cob0Morphism) -> CheckReport:
     return CheckReport("functoriality", graph_ok and wager_ok, details)
 
 
-def _graph_key(g: Graph) -> tuple:
-    return (g.vertices, frozenset((e.id, e.src, e.tgt) for e in g.edges))
-
-
 def check_faithfulness(source, target, max_circles: int) -> CheckReport:
     """Enumerate the hom-set and verify the wagered functor is injective on
     it.
@@ -141,20 +137,19 @@ def check_faithfulness(source, target, max_circles: int) -> CheckReport:
     morphisms = cob0_enumerate(source, target, max_circles)
     images: dict[tuple, Cob0Morphism] = {}
     collisions = []
-    graph_only: dict[tuple, Cob0Morphism] = {}
+    graph_only: dict[Graph, Cob0Morphism] = {}
     plain_witness = None
     for m in morphisms:
         proj = functor_bar(m)
-        key = (_graph_key(proj.graph), proj.wager)
+        key = (proj.graph, proj.wager)
         if key in images:
             collisions.append((images[key], m))
         else:
             images[key] = m
-        gkey = _graph_key(proj.graph)
-        if gkey in graph_only and plain_witness is None:
-            plain_witness = (graph_only[gkey], m)
+        if proj.graph in graph_only and plain_witness is None:
+            plain_witness = (graph_only[proj.graph], m)
         else:
-            graph_only.setdefault(gkey, m)
+            graph_only.setdefault(proj.graph, m)
 
     passed = not collisions
     witness_found = plain_witness is not None

@@ -164,7 +164,8 @@ class ExtNat:
 
     Addition never overflows: omega + anything = omega.  Instances are
     immutable and totally ordered, omega greatest.  A finite value equals,
-    and hashes like, its plain int.  Bools are rejected, not read as 0/1.
+    and hashes like, its plain int; every value is above a negative int.
+    Bools are rejected, not read as 0/1.
     """
 
     __slots__ = ("value",)
@@ -199,12 +200,16 @@ class ExtNat:
     __radd__ = __add__
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, int) and other < 0:
+            return False
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.value == o.value
 
     def __lt__(self, other: Any) -> bool:
+        if isinstance(other, int) and other < 0:
+            return False
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

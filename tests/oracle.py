@@ -9,15 +9,18 @@ set infinite as soon as some edge lies on two distinct simple cycles.
 Both work straight off the two graphs' edge lists.  The gluing oracle
 takes connected components of the union of the two matchings instead of
 chasing chains.  The rotation oracle computes every rotation's node keys in
-full instead of comparing derived-graph node numbers.
+full instead of comparing derived-graph node numbers.  The bimodular oracle
+applies every tuple of junction elements to a path at once and takes the
+orbits as union-find components, instead of closing orbits move by move.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 from intgraphs.cob0 import SRC, TGT, Cob0Morphism
-from intgraphs.graph import Graph
+from intgraphs.graph import Graph, flatten
 
 INFINITE = "infinite"
 FINITE = "finite"
@@ -195,3 +198,108 @@ def rotation_by_full_keys(seq):
     key = lambda node: (str(node[1].id), node[0], type(node[1].id).__name__, repr(node[1].id))
     rotations = (seq[i:] + seq[:i] for i in range(len(seq)))
     return min(rotations, key=lambda rot: tuple(key(n) for n in rot))
+
+
+def oracle_bimod_quotient(f, g, length_two: bool = False):
+    """Return (paths, edges, left, right, violations) of the bimodular
+    quotient of f and g, or None when its path set is infinite.
+
+    The paths are `oracle_paths`'s, or with ``length_two`` every f-edge
+    leaving the boundary joined to every g-edge from its target into the
+    boundary.  Each tuple of junction elements acts on a path at once: an
+    edge moves by the right action of the next junction's element and the
+    left action of the inverse of the previous junction's.  The orbits are
+    the union-find components of the paths under these moves, each named by
+    the flat id of its least member by (str(id), side) per step.
+
+    ``paths`` lists the quotiented paths as tuples of (side, edge id) steps,
+    and ``edges`` is the frozenset of (id, src, tgt).  ``left`` and ``right``
+    map each (src, tgt) to element -> {id: image id}, the image of an orbit
+    being the orbit of its representative's image.  ``violations`` lists the
+    (id, "left" | "right", element) whose image orbit differs between
+    members of the orbit, or is no path at all.
+    """
+    bgs = (f, g)
+    boundary = f.graph.vertices ^ g.graph.vertices
+    if length_two:
+        paths = [
+            ((0, e.id), (1, e2.id))
+            for e in f.graph.edges
+            if e.src in boundary
+            for e2 in g.graph.edges
+            if e2.src == e.tgt and e2.tgt in boundary
+        ]
+    else:
+        verdict, walks = oracle_paths(f.graph, g.graph)
+        if verdict == INFINITE:
+            return None
+        paths = list(walks)
+
+    def ends(step):
+        edge = bgs[step[0]].graph.edge(step[1])
+        return edge.src, edge.tgt
+
+    def move(step, before=None, after=None):
+        """The step's edge acted on by ``before`` on the left and ``after``
+        on the right, each an element or None."""
+        side, eid = step
+        pair = ends(step)
+        if before is not None:
+            eid = bgs[side].left[pair][before][eid]
+        if after is not None:
+            eid = bgs[side].right[pair][after][eid]
+        return side, eid
+
+    parent = {p: p for p in paths}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for p in paths:
+        junctions = [bgs[s].groups[ends((s, eid))[1]] for s, eid in p[:-1]]
+        for bs in itertools.product(*(grp.elements for grp in junctions)):
+            inverses = [None] + [grp.inv(b) for grp, b in zip(junctions, bs)]
+            image = tuple(
+                move(step, inverses[k], bs[k] if k < len(bs) else None)
+                for k, step in enumerate(p)
+            )
+            parent.setdefault(image, image)
+            parent[find(image)] = find(p)
+
+    members: dict = {}
+    for p in paths:
+        members.setdefault(find(p), []).append(p)
+    least = lambda path: tuple((str(eid), side) for side, eid in path)
+    orbit_id = {}
+    reps = {}
+    for orbit in members.values():
+        rep = min(orbit, key=least)
+        key = flatten(tuple(eid for _, eid in rep))
+        reps[key] = rep
+        for p in orbit:
+            orbit_id[p] = key
+
+    edges = set()
+    left: dict = {}
+    right: dict = {}
+    violations = []
+    for key, rep in reps.items():
+        v, w = ends(rep[0])[0], ends(rep[-1])[1]
+        edges.add((key, v, w))
+        orbit = members[find(rep)]
+        boundary_moves = (
+            ("left", left, bgs[rep[0][0]].groups[v],
+             lambda p, a: (move(p[0], before=a),) + p[1:]),
+            ("right", right, bgs[rep[-1][0]].groups[w],
+             lambda p, c: p[:-1] + (move(p[-1], after=c),)),
+        )
+        for name, table, group, act in boundary_moves:
+            for a in group.elements:
+                images = {orbit_id.get(act(p, a)) for p in orbit}
+                if len(images) != 1 or None in images:
+                    violations.append((key, name, a))
+                table.setdefault((v, w), {}).setdefault(a, {})[key] = orbit_id.get(act(rep, a))
+    return paths, frozenset(edges), left, right, violations

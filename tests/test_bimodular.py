@@ -18,8 +18,11 @@ from intgraphs.bimodular import (
     symmetric_group,
     trivial_group,
 )
+from intgraphs.campaigns import random_bimodular_pair, trial_rng
 from intgraphs.execution import execute, graphs_equal_flattened
-from intgraphs.graph import Graph, GraphError
+from intgraphs.graph import Graph, GraphError, InfinitePathSetError
+
+from oracle import oracle_bimod_quotient
 
 
 class TestFiniteGroup:
@@ -285,3 +288,87 @@ class TestOrbitCap:
         bimod_execute(f, g)
         with pytest.raises(OrbitCapExceededError, match="junction-group product"):
             check_well_defined(f, g)
+
+
+def assert_matches_oracle(f, g, op) -> bool:
+    """The quotient ``op`` computes equals the oracle's: the same edges and
+    ids, and the same descended left and right action tables.  Returns
+    whether some orbit has two or more paths."""
+    expected = oracle_bimod_quotient(f, g, length_two=op is bimod_compose2)
+    if expected is None:
+        with pytest.raises(InfinitePathSetError):
+            op(f, g)
+        return False
+    paths, edges, left, right, violations = expected
+    assert violations == []
+    result = op(f, g)
+    assert frozenset((e.id, e.src, e.tgt) for e in result.graph.edges) == edges
+    assert result.left == left
+    assert result.right == right
+    return len(edges) < len(paths)
+
+
+def s3_middle_example():
+    """A symmetric_group(3) middle group acting on the right of the f-edges
+    e<x> (one per element x, regularly: e<x> . h = e<xh>) and on the left of
+    the g-edges f<k><j> (on k, through the permutation).  A cyclic-2 group
+    at v acts on the left of the f-edges through the transposition "102",
+    and one at w swaps j on the right of the g-edges."""
+    s3, z2 = symmetric_group(3), cyclic_group(2)
+    as_s3 = {"0": s3.identity, "1": "102"}
+    f_graph = Graph({"v", "m"}, [(f"e{x}", "v", "m") for x in s3.elements])
+    g_graph = Graph(
+        {"m", "w"}, [(f"f{k}{j}", "m", "w") for k in range(3) for j in range(2)]
+    )
+    f = BimodularGraph(
+        f_graph,
+        groups={"v": z2, "m": s3},
+        left={("v", "m"): {
+            a: {f"e{x}": f"e{s3.mul(as_s3[a], x)}" for x in s3.elements}
+            for a in z2.elements
+        }},
+        right={("v", "m"): {
+            h: {f"e{x}": f"e{s3.mul(x, h)}" for x in s3.elements}
+            for h in s3.elements
+        }},
+    )
+    g = BimodularGraph(
+        g_graph,
+        groups={"m": s3, "w": z2},
+        left={("m", "w"): {
+            p: {f"f{k}{j}": f"f{p[k]}{j}" for k in range(3) for j in range(2)}
+            for p in s3.elements
+        }},
+        right={("m", "w"): {
+            c: {f"f{k}{j}": f"f{k}{(j + int(c)) % 2}" for k in range(3) for j in range(2)}
+            for c in z2.elements
+        }},
+    )
+    return f, g
+
+
+class TestOracleCrossCheck:
+    """bimod_execute and bimod_compose2 against `oracle_bimod_quotient`."""
+
+    @pytest.mark.parametrize("op", [bimod_execute, bimod_compose2])
+    def test_random_pairs(self, op):
+        merging = sum(
+            assert_matches_oracle(*random_bimodular_pair(trial_rng(seed, index)), op)
+            for seed in (42, 20231029)
+            for index in range(300)
+        )
+        # the generator's actions seldom merge paths (11 draws of these 600
+        # for bimod_execute, 5 for bimod_compose2); the hand-built
+        # instances below merge in every orbit
+        assert merging >= 5
+
+    @pytest.mark.parametrize("op", [bimod_execute, bimod_compose2])
+    def test_swap_example(self, op):
+        assert assert_matches_oracle(*swap_example(), op)
+
+    @pytest.mark.parametrize("op", [bimod_execute, bimod_compose2])
+    def test_symmetric_middle_group(self, op):
+        f, g = s3_middle_example()
+        assert assert_matches_oracle(f, g, op)
+        # (e<x>, f<k><j>) ~ (e<xh>, f<h^-1(k)><j>): 36 pairs, 6 orbits
+        assert len(op(f, g).graph.edges) == 6

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +99,30 @@ class TestExtNat:
         assert hash(ExtNat(1)) == hash(1)
         assert 1 in {ExtNat(1)} and ExtNat(1) in {1}
         assert {ExtNat(2): "two"}[2] == "two"
+
+    @pytest.mark.parametrize(
+        "op, expected",
+        [
+            (operator.eq, False),
+            (operator.ne, True),
+            (operator.lt, False),
+            (operator.le, False),
+            (operator.gt, True),
+            (operator.ge, True),
+        ],
+    )
+    def test_every_value_is_above_a_negative_int(self, op, expected):
+        for x in (ExtNat(0), ExtNat(1), OMEGA):
+            for n in (-1, -3):
+                assert op(x, n) is expected
+                # reflected: n < x is x > n, and so on
+                assert op(n, x) is (expected if op in (operator.eq, operator.ne) else not expected)
+
+    def test_adding_a_negative_int_raises(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            ExtNat(1) + -1
+        with pytest.raises(ValueError, match=">= 0"):
+            -1 + ExtNat(1)
 
     def test_bool_rejected(self):
         for flag in (True, False):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from intgraphs.campaigns import random_pair, random_triple, trial_rng
@@ -10,6 +13,7 @@ from intgraphs.graph import (
     UNORIENTED,
     Graph,
     GraphError,
+    InfiniteCycleSetError,
     InfinitePathSetError,
     _is_reversal,
     alternating_paths,
@@ -19,7 +23,7 @@ from intgraphs.graph import (
 )
 from intgraphs.interaction import IdentityEdgeId, Project, project_execute, project_unit
 
-from oracle import FINITE, oracle_paths, rotation_by_full_keys
+from oracle import FINITE, oracle_cycles, oracle_paths, rotation_by_full_keys
 
 nested_ids = st.recursive(
     st.text(alphabet="abcdef", min_size=1, max_size=3),
@@ -128,6 +132,67 @@ def test_measure_mode_relation(seed):
     # when every class pairs with a distinct partner, the count halves
     if paired == len(classes) and not any(c.is_own_reversal() for c in classes):
         assert int(directed) == 2 * int(unoriented)
+
+
+def random_pair_with_long_cycles(rng, max_vertices: int = 5, max_edges: int = 6):
+    """A `random_pair` plus 1-3 disjoint alternating cycles of length 4, 6
+    or 8 on fresh vertices, each together with its edgewise reversal about
+    half the time.  `random_pair` alone gives a finite cycle set with a
+    cycle of length >= 4 in about 3 of 2000 draws."""
+    f, g = random_pair(rng, max_vertices, max_edges)
+    added: tuple[list, list] = ([], [])
+    for c in range(rng.randint(1, 3)):
+        n = rng.choice((4, 6, 8))
+        with_reversal = rng.random() < 0.5
+        for j in range(n):
+            side, u, v = j % 2, ("c", c, j), ("c", c, (j + 1) % n)
+            added[side].append((f"{'fg'[side]}c{c}.{j}", u, v))
+            if with_reversal:
+                added[side].append((f"{'fg'[side]}r{c}.{j}", v, u))
+    fresh = {v for side in added for _, u, w in side for v in (u, w)}
+    return tuple(
+        Graph(graph.vertices | fresh, list(graph.edges) + edges)
+        for graph, edges in zip((f, g), added)
+    )
+
+
+def _reversal_pairs(f: Graph, g: Graph, cycles) -> int:
+    """Brute force: the unordered pairs of distinct cycles, as tuples of
+    (side, edge id), of which one, under some rotation, runs through the
+    other's edges backwards, each step on the same side with swapped
+    endpoints."""
+    def ends(step):
+        edge = (f, g)[step[0]].edge(step[1])
+        return edge.src, edge.tgt
+
+    def reverses(c, d):
+        back = c[::-1]
+        return len(c) == len(d) and any(
+            all(x[0] == y[0] and ends(x) == ends(y)[::-1] for x, y in zip(back, d[k:] + d[:k]))
+            for k in range(len(d))
+        )
+
+    return sum(reverses(c, d) for c, d in itertools.combinations(cycles, 2))
+
+
+def test_long_cycles_match_oracle():
+    trials, long_and_finite, with_pairs = 300, 0, 0
+    for index in range(trials):
+        f, g = random_pair_with_long_cycles(trial_rng(7, index))
+        verdict, cycles = oracle_cycles(f, g)
+        if verdict != FINITE:
+            with pytest.raises(InfiniteCycleSetError):
+                prime_cycles(f, g, DIRECTED)
+            continue
+        directed = prime_cycles(f, g, DIRECTED)
+        assert frozenset(tuple((s, e.id) for s, e in c.steps) for c in directed) == cycles
+        pairs = _reversal_pairs(f, g, cycles)
+        assert len(prime_cycles(f, g, UNORIENTED)) == len(cycles) - pairs
+        long_and_finite += any(len(c) >= 4 for c in cycles)
+        with_pairs += pairs > 0
+    # 216 of the 300 draws are finite, each with a cycle of length >= 4,
+    # and 139 of them merge a reversal pair
+    assert long_and_finite >= 200 and with_pairs >= 100
 
 
 # ids that tie on str in pairs, so only the type-aware tie-break orders them
