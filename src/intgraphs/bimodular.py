@@ -177,14 +177,52 @@ Perm = dict[EdgeId, EdgeId]
 ActionTable = dict[str, Perm]
 
 
+def _action(
+    group: FiniteGroup,
+    ids: tuple[EdgeId, ...],
+    given: Mapping[str, Perm],
+    right: bool,
+    pair: tuple[Vertex, Vertex],
+) -> ActionTable:
+    """One side's action of ``group`` on the edge set ``ids`` from vertex
+    ``pair``: the ``given`` permutations, checked, and the identity for every
+    element not given; then the homomorphism law, which for a left action
+    reads (ab).x = a.(b.x) and for a right one x.(ab) = (x.a).b."""
+    side = "right" if right else "left"
+    id_set = set(ids)
+    for g, perm in given.items():
+        if g not in group.elements:
+            raise IncompatibleActionsError(
+                f"{side} action on edge set {pair!r} names {g!r}, not an element of {group!r}"
+            )
+        if perm.keys() != id_set or set(perm.values()) != id_set:
+            raise IncompatibleActionsError(
+                f"{side} action of {g!r} is not a permutation of edge set {pair!r}"
+            )
+    unit = dict(zip(ids, ids))
+    table: ActionTable = {g: dict(given.get(g, unit)) for g in group.elements}
+    if table[group.identity] != unit:
+        raise IncompatibleActionsError(f"identity must act trivially on edge set {pair!r}")
+    for a, b in itertools.product(group.elements, repeat=2):
+        ab = table[group.mul(a, b)]
+        first, then = (table[a], table[b]) if right else (table[b], table[a])
+        for eid in ids:
+            if ab[eid] != then[first[eid]]:
+                raise IncompatibleActionsError(
+                    f"{side} action is not a homomorphism at ({a}, {b}) on edge set {pair!r}"
+                )
+    return table
+
+
 class BimodularGraph:
     """A graph with a group per vertex and commuting left/right actions on
     every edge set.
 
     ``left[(v, w)][g]`` permutes the ids of the edges from v to w (g drawn
     from the group at v); ``right[(v, w)][h]`` likewise with h from the
-    group at w.  Missing entries default to the identity permutation; the
-    action and commutation axioms are validated on the completed tables.
+    group at w.  Missing entries default to the identity permutation.
+    ``_action`` checks each side's table on each edge set, and the
+    constructor then checks that the two sides commute.
     """
 
     __slots__ = ("graph", "groups", "left", "right", "_edge_sets")
@@ -203,77 +241,33 @@ class BimodularGraph:
                 raise IncompatibleGroupsError(f"group assigned to unknown vertex {v!r}")
         self.groups = {v: given.get(v, trivial_group()) for v in graph.vertices}
 
-        edge_sets: dict[tuple[Vertex, Vertex], tuple[EdgeId, ...]] = {}
+        edge_sets: dict[tuple[Vertex, Vertex], list[EdgeId]] = {}
         for e in graph.edges:
-            edge_sets.setdefault((e.src, e.tgt), ())
-            edge_sets[(e.src, e.tgt)] += (e.id,)
-        self._edge_sets = edge_sets
+            edge_sets.setdefault((e.src, e.tgt), []).append(e.id)
+        self._edge_sets = {pair: tuple(ids) for pair, ids in edge_sets.items()}
 
-        self.left = self._complete(left or {}, side="left")
-        self.right = self._complete(right or {}, side="right")
-        self._validate()
+        left, right = left or {}, right or {}
+        for tables in (left, right):
+            for pair, table in tables.items():
+                if table and pair not in edge_sets:
+                    raise IncompatibleActionsError(
+                        f"action given for vertex pair {pair!r} with no edges"
+                    )
+        self.left, self.right = {}, {}
+        for pair, ids in self._edge_sets.items():
+            lact = _action(self.groups[pair[0]], ids, left.get(pair, {}), False, pair)
+            ract = _action(self.groups[pair[1]], ids, right.get(pair, {}), True, pair)
+            self.left[pair], self.right[pair] = lact, ract
+            for (g, lg), (h, rh) in itertools.product(lact.items(), ract.items()):
+                for eid in ids:
+                    if lg[rh[eid]] != rh[lg[eid]]:
+                        raise IncompatibleActionsError(
+                            f"left action of {g!r} and right action of {h!r} do "
+                            f"not commute on edge set {pair!r}"
+                        )
 
     def edge_set(self, v: Vertex, w: Vertex) -> tuple[EdgeId, ...]:
         return self._edge_sets.get((v, w), ())
-
-    def _complete(self, given: Mapping, side: str) -> dict:
-        out: dict[tuple[Vertex, Vertex], ActionTable] = {}
-        for (v, w), ids in self._edge_sets.items():
-            acting = self.groups[v if side == "left" else w]
-            table = dict(given.get((v, w), {}))
-            full: ActionTable = {}
-            for g in acting.elements:
-                perm = dict(table.get(g, {eid: eid for eid in ids}))
-                full[g] = perm
-            out[(v, w)] = full
-        for key in given:
-            if key not in self._edge_sets and given[key]:
-                raise IncompatibleActionsError(
-                    f"action given for vertex pair {key!r} with no edges"
-                )
-        return out
-
-    def _validate(self) -> None:
-        for (v, w), ids in self._edge_sets.items():
-            id_set = set(ids)
-            lgrp = self.groups[v]
-            rgrp = self.groups[w]
-            lact = self.left[(v, w)]
-            ract = self.right[(v, w)]
-            for g, perm in list(lact.items()) + list(ract.items()):
-                if set(perm) != id_set or set(perm.values()) != id_set:
-                    raise IncompatibleActionsError(
-                        f"action of {g!r} on edges {v!r}->{w!r} is not a "
-                        f"permutation of that edge set"
-                    )
-            for eid in ids:
-                if lact[lgrp.identity][eid] != eid or ract[rgrp.identity][eid] != eid:
-                    raise IncompatibleActionsError(
-                        f"identity must act trivially on {eid!r}"
-                    )
-            for g1, g2 in itertools.product(lgrp.elements, repeat=2):
-                prod = lgrp.mul(g1, g2)
-                for eid in ids:
-                    if lact[prod][eid] != lact[g1][lact[g2][eid]]:
-                        raise IncompatibleActionsError(
-                            f"left action is not a homomorphism at ({g1}, {g2}) "
-                            f"on edges {v!r}->{w!r}"
-                        )
-            for h1, h2 in itertools.product(rgrp.elements, repeat=2):
-                prod = rgrp.mul(h1, h2)
-                for eid in ids:
-                    if ract[prod][eid] != ract[h2][ract[h1][eid]]:
-                        raise IncompatibleActionsError(
-                            f"right action is not a homomorphism at ({h1}, {h2}) "
-                            f"on edges {v!r}->{w!r}"
-                        )
-            for g, h in itertools.product(lgrp.elements, rgrp.elements):
-                for eid in ids:
-                    if lact[g][ract[h][eid]] != ract[h][lact[g][eid]]:
-                        raise IncompatibleActionsError(
-                            f"left action of {g!r} and right action of {h!r} do "
-                            f"not commute on edges {v!r}->{w!r}"
-                        )
 
     def all_groups_trivial(self) -> bool:
         return all(grp.is_trivial() for grp in self.groups.values())

@@ -30,7 +30,6 @@ from .execution import (
 from .formats import render_bimodular, render_cobordism, render_graph
 from .functor import check_faithfulness, check_functoriality
 from .graph import Graph, InfiniteCycleSetError, InfinitePathSetError
-from .interaction import IntMorphism, cod_vertex, dom_vertex
 
 _SEED_STRIDE = 1_000_003
 
@@ -131,22 +130,6 @@ def random_pair(
         verts = [v for v in universe if rng.random() < 0.7]
         out.append(random_graph(rng, verts, max_edges, prefix))
     return out[0], out[1]
-
-
-def random_int_morphism(
-    rng: random.Random, max_points: int = 3, max_edges: int = 6, prefix: str = "e"
-) -> IntMorphism:
-    dom = frozenset(f"a{i}" for i in range(rng.randint(0, max_points)))
-    cod = frozenset(f"b{i}" for i in range(rng.randint(0, max_points)))
-    vertices = [dom_vertex(a) for a in sorted(dom)] + [
-        cod_vertex(b) for b in sorted(cod)
-    ]
-    n = rng.randint(0, max_edges) if vertices else 0
-    edges = [
-        (f"{prefix}{i}", rng.choice(vertices), rng.choice(vertices))
-        for i in range(n)
-    ]
-    return IntMorphism(dom, cod, Graph(vertices, edges))
 
 
 def _campaign(name: str, cases: Iterable[Callable[[], tuple]]) -> CampaignResult:

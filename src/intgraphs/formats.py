@@ -26,8 +26,12 @@ block:
     raction v w 1 e1 e2
 
 The Cayley `table` lists rows separated by `;`, entries by `,`; its first
-row doubles as the element list.  Action lines give the images of the
-edges from v to w in their declaration order, for one group element.
+row doubles as the element list, so the renderer writes the identity's
+row first.  Action lines give the images of the edges from v to w in
+their declaration order, for one element of the acting group (the group
+at v for `laction`, at w for `raction`); naming any other element is an
+error.  Each vertex takes at most one `group` line, and each
+`(v, w, element)` at most one `laction` and one `raction` line.
 
 Every id written by the renderers is a whitespace-free token; composite
 edge ids (flattened path sequences) are dot-joined for display.
@@ -293,6 +297,8 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
             v = args[0]
             if v not in graph.vertices:
                 raise ParseError(f"group for unknown vertex {v!r}", lineno)
+            if v in groups:
+                raise ParseError(f"duplicate group for vertex {v!r}", lineno)
             groups[v] = _parse_group(args[1:], lineno)
         else:
             if len(args) < 3:
@@ -309,8 +315,10 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
                     lineno,
                 )
             perm = dict(zip(edge_ids, images))
-            target = left if directive == "laction" else right
-            target.setdefault((v, w), {})[g] = perm
+            per_element = (left if directive == "laction" else right).setdefault((v, w), {})
+            if g in per_element:
+                raise ParseError(f"duplicate {directive} for {v!r}->{w!r} element {g!r}", lineno)
+            per_element[g] = perm
     try:
         bg = BimodularGraph(graph, groups, left, right)
     except GraphError as exc:
@@ -327,7 +335,8 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
         if grp.name.startswith("cyclic:"):
             out.append(f"group {vertex_token(v)} {grp.name}")
         else:
-            order = list(grp.elements)
+            # identity first: the parser reads the first row as the elements
+            order = [grp.identity] + [a for a in grp.elements if a != grp.identity]
             rows = [
                 ",".join(grp.mul(a, b) for b in order) for a in order
             ]

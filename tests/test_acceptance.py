@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line (run pytest with -s to see them all).
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 from intgraphs.bimodular import BimodularGraph, bimod_compose2, cyclic_group
@@ -16,7 +17,6 @@ from intgraphs.campaigns import (
     campaign_faithful,
     campaign_functor,
     campaign_trefoil,
-    random_int_morphism,
     random_pair,
     trial_rng,
 )
@@ -33,6 +33,7 @@ from intgraphs.graph import (
     prime_cycles,
 )
 from intgraphs.interaction import (
+    IntMorphism,
     Project,
     cod_vertex,
     dom_vertex,
@@ -46,6 +47,20 @@ from intgraphs.interaction import (
 from oracle import FINITE, INFINITE, oracle_cycles, oracle_paths
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def random_int_morphism(rng: random.Random, max_points: int, max_edges: int) -> IntMorphism:
+    dom = frozenset(f"a{i}" for i in range(rng.randint(0, max_points)))
+    cod = frozenset(f"b{i}" for i in range(rng.randint(0, max_points)))
+    vertices = [dom_vertex(a) for a in sorted(dom)] + [
+        cod_vertex(b) for b in sorted(cod)
+    ]
+    n = rng.randint(0, max_edges) if vertices else 0
+    edges = [
+        (f"e{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(n)
+    ]
+    return IntMorphism(dom, cod, Graph(vertices, edges))
 
 
 def _report(number: int, ok: bool, detail: str) -> None:

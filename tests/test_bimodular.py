@@ -120,6 +120,38 @@ class TestBimodularGraphValidation:
         with pytest.raises(IncompatibleGroupsError):
             BimodularGraph(Graph({"a"}), groups={"z": cyclic_group(2)})
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_element_outside_the_group_rejected(self, side):
+        graph = Graph({"a", "b"}, [("e1", "a", "b"), ("e2", "a", "b")])
+        with pytest.raises(IncompatibleActionsError, match="not an element"):
+            BimodularGraph(
+                graph,
+                groups={"a": cyclic_group(2), "b": cyclic_group(2)},
+                **{side: {("a", "b"): {"7": {"e1": "e2", "e2": "e1"}}}},
+            )
+
+    @pytest.mark.parametrize("regular", ["left", "right"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_regular_action_of_s3_is_an_action_on_its_own_side_only(self, regular, side):
+        # S3 is not abelian, so g.x and x.g compose in opposite orders:
+        # each regular table passes the homomorphism law on one side only
+        s3 = symmetric_group(3)
+        graph = Graph({"v", "w"}, [(f"e{x}", "v", "w") for x in s3.elements])
+        table = {
+            g: {
+                f"e{x}": f"e{s3.mul(g, x) if regular == 'left' else s3.mul(x, g)}"
+                for x in s3.elements
+            }
+            for g in s3.elements
+        }
+        groups = {"v": s3, "w": s3}
+        actions = {side: {("v", "w"): table}}
+        if regular == side:
+            assert getattr(BimodularGraph(graph, groups, **actions), side)[("v", "w")] == table
+        else:
+            with pytest.raises(IncompatibleActionsError, match="not a homomorphism"):
+                BimodularGraph(graph, groups, **actions)
+
 
 class TestCompose2:
     def test_swap_merges_pairs_into_one_orbit(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from intgraphs.bimodular import BimodularGraph, cyclic_group, klein_four_group
+from intgraphs.bimodular import BimodularGraph, FiniteGroup, cyclic_group, klein_four_group
 from intgraphs.cob0 import cob0_morphism, source_point as sp, target_point as tp
 from intgraphs.formats import (
     ParseError,
@@ -288,6 +288,50 @@ class TestBimodularFormat:
         with pytest.raises(ParseError) as err:
             parse_bimodular(text)
         assert err.value.line == 7
+
+    def test_table_group_round_trips_with_identity_listed_anywhere(self):
+        # the identity of this relabelled cyclic group is "0", listed second
+        grp = FiniteGroup("t", ["1", "0", "2"], cyclic_group(3).table)
+        bg = BimodularGraph(Graph({"v", "w"}, [("e", "v", "w")]), {"v": grp})
+        _, parsed = parse_bimodular(render_bimodular("b", bg))
+        assert parsed.groups["v"] == grp
+
+    def test_element_outside_the_group_rejected(self):
+        text = (
+            "graph b\nvertex v\nvertex m\nedge e1 v m\nedge e2 v m\n"
+            "group m cyclic:2\nraction v m 7 e2 e1\n"
+        )
+        with pytest.raises(ParseError, match="not an element"):
+            parse_bimodular(text)
+
+    def test_duplicate_group_reports_line(self):
+        text = (
+            "graph b\nvertex v\nvertex m\nedge e1 v m\n"
+            "group m cyclic:2\ngroup m cyclic:3\n"
+        )
+        with pytest.raises(ParseError, match="duplicate") as err:
+            parse_bimodular(text)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("directive", ["laction", "raction"])
+    def test_duplicate_action_reports_line(self, directive):
+        text = (
+            "graph b\nvertex v\nvertex m\nedge e1 v m\nedge e2 v m\n"
+            "group v cyclic:2\ngroup m cyclic:2\n"
+            f"{directive} v m 1 e2 e1\n{directive} v m 1 e1 e2\n"
+        )
+        with pytest.raises(ParseError, match="duplicate") as err:
+            parse_bimodular(text)
+        assert err.value.line == 9
+
+    def test_laction_and_raction_of_one_element_are_distinct(self):
+        text = (
+            "graph b\nvertex v\nvertex m\nedge e1 v m\nedge e2 v m\n"
+            "group v cyclic:2\ngroup m cyclic:2\n"
+            "laction v m 1 e2 e1\nraction v m 1 e2 e1\n"
+        )
+        _, bg = parse_bimodular(text)
+        assert bg.left[("v", "m")]["1"] == bg.right[("v", "m")]["1"] == {"e1": "e2", "e2": "e1"}
 
     def test_invalid_action_rejected(self):
         text = (
