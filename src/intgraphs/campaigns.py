@@ -29,7 +29,7 @@ from .execution import (
 )
 from .formats import render_bimodular, render_cobordism, render_graph
 from .functor import check_faithfulness, check_functoriality
-from .graph import Graph, InfiniteCycleSetError, InfinitePathSetError
+from .graph import DIRECTED, Graph, InfiniteCycleSetError, InfinitePathSetError
 
 _SEED_STRIDE = 1_000_003
 
@@ -179,17 +179,21 @@ def campaign_associativity(
 
 
 def campaign_trefoil(
-    trials: int = 1000,
-    seed: int = 42,
-    max_vertices: int = 8,
-    max_edges: int = 8,
-    mode: str = "directed",
+    trials: int = 1000, seed: int = 42, max_vertices: int = 8, max_edges: int = 8
 ) -> CampaignResult:
+    """The trefoil identity, with cycles counted in directed mode."""
+
     def run_one(rng):
         f, g, h = random_triple(rng, max_vertices, max_edges)
-        return check_trefoil(f, g, h, mode).passed, lambda: _render_triple(f, g, h)
+        return check_trefoil(f, g, h, DIRECTED).passed, lambda: _render_triple(f, g, h)
 
     return _campaign("trefoil", _seeded(trials, seed, run_one))
+
+
+# Circle budgets: one exercises the gluing laws' circle arithmetic; two let
+# morphisms that differ only in circles share a plain functor image.
+_LAW_CIRCLES = 1
+_FUNCTOR_CIRCLES = 2
 
 
 def _hom_sets(bound: int, max_circles: int) -> tuple[list[frozenset], dict]:
@@ -215,11 +219,11 @@ def _gluing_associative(m, n, p) -> tuple:
     return ok, functools.partial(_render_all, render_cobordism, "MNP", (m, n, p))
 
 
-def campaign_cob0_laws(bound: int = 3, max_circles: int = 1) -> CampaignResult:
+def campaign_cob0_laws(bound: int = 3) -> CampaignResult:
     """Exhaustive category laws: both identity laws on every morphism, and
     associativity of gluing (matching and circle arithmetic) over all
     composable triples with every object of size <= bound."""
-    objects, homs = _hom_sets(bound, max_circles)
+    objects, homs = _hom_sets(bound, _LAW_CIRCLES)
     identities = (
         functools.partial(_identity_laws, a, b, m)
         for (a, b), morphisms in homs.items()
@@ -237,11 +241,11 @@ def campaign_cob0_laws(bound: int = 3, max_circles: int = 1) -> CampaignResult:
     return result
 
 
-def campaign_functor(bound: int = 3, max_circles: int = 2) -> CampaignResult:
+def campaign_functor(bound: int = 3) -> CampaignResult:
     """Exhaustive functoriality over composable pairs: graph equality and
     the circle-count equation, with directed = 2 x unoriented demanded on
     every composition."""
-    objects, homs = _hom_sets(bound, max_circles)
+    objects, homs = _hom_sets(bound, _FUNCTOR_CIRCLES)
     twice_everywhere = True
 
     def check(m, n):
@@ -262,15 +266,15 @@ def campaign_functor(bound: int = 3, max_circles: int = 2) -> CampaignResult:
     return result
 
 
-def campaign_faithful(total_bound: int = 6, max_circles: int = 2) -> CampaignResult:
+def campaign_faithful(bound: int = 6) -> CampaignResult:
     """Injectivity of the wagered functor on every hom-set with
-    |A| + |B| <= total_bound, recording image counts per boundary size."""
+    |A| + |B| <= bound, recording image counts per boundary size."""
     images_by_size: dict[int, int] = {}
 
     def check(a_size: int, b_size: int):
         a = frozenset(f"a{i}" for i in range(a_size))
         b = frozenset(f"b{i}" for i in range(b_size))
-        report = check_faithfulness(a, b, max_circles)
+        report = check_faithfulness(a, b, _FUNCTOR_CIRCLES)
         if report.details["hom_size"]:
             total = a_size + b_size
             images_by_size[total] = max(
@@ -280,7 +284,7 @@ def campaign_faithful(total_bound: int = 6, max_circles: int = 2) -> CampaignRes
 
     hom_sets = (
         functools.partial(check, a_size, total - a_size)
-        for total in range(total_bound + 1)
+        for total in range(bound + 1)
         for a_size in range(total + 1)
     )
     result = _campaign("faithful", hom_sets)
@@ -289,7 +293,7 @@ def campaign_faithful(total_bound: int = 6, max_circles: int = 2) -> CampaignRes
 
 
 def campaign_bimod_degeneracy(
-    trials: int = 500, seed: int = 42, max_vertices: int = 5, max_edges: int = 6
+    trials: int = 1000, seed: int = 42, max_vertices: int = 5, max_edges: int = 6
 ) -> CampaignResult:
     """With all groups trivial, bimodular execution must equal plain
     execution of the underlying graphs."""
@@ -371,14 +375,13 @@ def random_bimodular_pair(
 
 
 def campaign_bimod_well_defined(
-    trials: int = 200,
-    seed: int = 42,
-    max_vertices: int = 5,
-    max_edges: int = 6,
-    max_group_order: int = 4,
+    trials: int = 1000, seed: int = 42, max_vertices: int = 5, max_edges: int = 6
 ) -> CampaignResult:
+    """Well-definedness of the orbit quotient on random bimodular pairs,
+    with groups of order at most ``random_bimodular_pair``'s default."""
+
     def run_one(rng):
-        bf, bg = random_bimodular_pair(rng, max_vertices, max_edges, max_group_order)
+        bf, bg = random_bimodular_pair(rng, max_vertices, max_edges)
         report = check_well_defined(bf, bg)
         # executing also re-validates the descended boundary actions
         bimod_execute(bf, bg)

@@ -115,32 +115,27 @@ def _at_least(low: int):
     return parse
 
 
-def _bound(args, keyword: str) -> dict:
-    """The exhaustive bound, passed only when given: the default lives in
-    the campaign's signature."""
-    return {} if args.exhaustive_bound is None else {keyword: args.exhaustive_bound}
+_RANDOM = ("trials", "seed", "max_vertices", "max_edges")
+# Sampling bimodular actions grows like k! in the number k of parallel
+# edges, so the bimodular campaigns cap the sizes a user types.
+_BIMOD = {"max_vertices": 5, "max_edges": 6}
+
+
+def _typed(args, flags: tuple[str, ...] = _RANDOM, **caps: int) -> dict:
+    """The typed flags among ``flags``, each capped by ``caps``.  A flag not
+    typed is absent (argparse.SUPPRESS), leaving the campaign's default."""
+    given = vars(args)
+    return {k: min(given[k], caps.get(k, given[k])) for k in flags if k in given}
 
 
 _CHECKS = {
-    "assoc": lambda args: campaign_associativity(
-        trials=args.trials, seed=args.seed,
-        max_vertices=args.max_vertices, max_edges=args.max_edges,
-    ),
-    "trefoil": lambda args: campaign_trefoil(
-        trials=args.trials, seed=args.seed,
-        max_vertices=args.max_vertices, max_edges=args.max_edges,
-    ),
-    "cob0-laws": lambda args: campaign_cob0_laws(**_bound(args, "bound")),
-    "functor": lambda args: campaign_functor(**_bound(args, "bound")),
-    "faithful": lambda args: campaign_faithful(**_bound(args, "total_bound")),
-    "bimod-degeneracy": lambda args: campaign_bimod_degeneracy(
-        trials=args.trials, seed=args.seed,
-        max_vertices=min(args.max_vertices, 5), max_edges=min(args.max_edges, 6),
-    ),
-    "bimod-well-defined": lambda args: campaign_bimod_well_defined(
-        trials=args.trials, seed=args.seed,
-        max_vertices=min(args.max_vertices, 5), max_edges=min(args.max_edges, 6),
-    ),
+    "assoc": lambda args: campaign_associativity(**_typed(args)),
+    "trefoil": lambda args: campaign_trefoil(**_typed(args)),
+    "cob0-laws": lambda args: campaign_cob0_laws(**_typed(args, ("bound",))),
+    "functor": lambda args: campaign_functor(**_typed(args, ("bound",))),
+    "faithful": lambda args: campaign_faithful(**_typed(args, ("bound",))),
+    "bimod-degeneracy": lambda args: campaign_bimod_degeneracy(**_typed(args, **_BIMOD)),
+    "bimod-well-defined": lambda args: campaign_bimod_well_defined(**_typed(args, **_BIMOD)),
 }
 
 
@@ -198,13 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("second", nargs="?", default=None)
     pf.set_defaults(func=_cmd_cob)
 
-    p = sub.add_parser("check", help="run a verification campaign")
+    # only typed flags reach a campaign, whose signature holds the defaults
+    p = sub.add_parser("check", help="run a verification campaign",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("property", choices=sorted(_CHECKS))
-    p.add_argument("--trials", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-vertices", type=_at_least(1), default=8)
-    p.add_argument("--max-edges", type=_at_least(1), default=8)
-    p.add_argument("--exhaustive-bound", type=_at_least(0), default=None)
+    p.add_argument("--trials", type=_at_least(0))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-vertices", type=_at_least(1))
+    p.add_argument("--max-edges", type=_at_least(1))
+    p.add_argument("--exhaustive-bound", dest="bound", metavar="EXHAUSTIVE_BOUND",
+                   type=_at_least(0))
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -17,8 +17,9 @@ Projects add `wager <n|omega>` to a graph block.  Cobordisms:
     circles 2
 
 `pair` points may carry `L:`/`R:` prefixes; a bare label is accepted when
-it names a point on exactly one side.  Bimodular graphs extend the graph
-block:
+it names a point on exactly one side.  Each point takes at most one
+`pair` line, and a block at most one `cob` line.  Bimodular graphs
+extend the graph block:
 
     group v cyclic:2
     group w table e,a;a,e
@@ -27,11 +28,18 @@ block:
 
 The Cayley `table` lists rows separated by `;`, entries by `,`; its first
 row doubles as the element list, so the renderer writes the identity's
-row first.  Action lines give the images of the edges from v to w in
-their declaration order, for one element of the acting group (the group
-at v for `laction`, at w for `raction`); naming any other element is an
-error.  Each vertex takes at most one `group` line, and each
+row first.  The renderer writes `cyclic:k` only for the group
+`cyclic_group(k)` itself, and a `table` for any other.  Action lines give
+the images of the edges from v to w in their declaration order, a
+permutation of those edges, for one element of the acting group (the
+group at v for `laction`, at w for `raction`); naming any other element
+is an error.  Each vertex takes at most one `group` line, and each
 `(v, w, element)` at most one `laction` and one `raction` line.
+
+A parse error names its line when one line decides it.  A missing `graph`
+or `cob` line, a boundary point left unpaired, and an action that breaks
+the homomorphism law or does not commute with the other side involve
+several lines or none, and carry no line.
 
 Every id written by the renderers is a whitespace-free token; composite
 edge ids (flattened path sequences) are dot-joined for display.
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .bimodular import BimodularGraph, FiniteGroup, cyclic_group
+from .bimodular import BimodularGraph, FiniteGroup, cyclic_group, trivial_group
 from .cob0 import Cob0Morphism, source_point, target_point
 from .graph import ExtNat, Graph, GraphError, OMEGA, _order_key
 from .interaction import Project
@@ -204,6 +212,8 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
         if directive == "cob":
             if len(args) != 1:
                 raise ParseError("cob expects exactly one name", lineno)
+            if name is not None:
+                raise ParseError("duplicate cob declaration", lineno)
             name = args[0]
         elif directive == "left":
             left.update(args)
@@ -222,17 +232,21 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
     if name is None:
         raise ParseError("missing cob declaration")
     pairs = []
+    paired_on: dict = {}  # point -> line of the pair that uses it
     for lineno, (p, q) in pair_lines:
-        pairs.append(
-            (_resolve_point(p, left, right, lineno), _resolve_point(q, left, right, lineno))
-        )
+        ends = (_resolve_point(p, left, right, lineno), _resolve_point(q, left, right, lineno))
+        if ends[0] == ends[1]:
+            raise ParseError(f"pair joins point {p!r} to itself", lineno)
+        for point in ends:
+            if point in paired_on:
+                raise ParseError(
+                    f"point {_point_token(point)} is already paired on line {paired_on[point]}",
+                    lineno,
+                )
+            paired_on[point] = lineno
+        pairs.append(frozenset(ends))
     try:
-        morphism = Cob0Morphism(
-            frozenset(left),
-            frozenset(right),
-            frozenset(frozenset(pair) for pair in pairs),
-            circles,
-        )
+        morphism = Cob0Morphism(frozenset(left), frozenset(right), frozenset(pairs), circles)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return name, morphism
@@ -258,11 +272,10 @@ def render_cobordism(name: str, m: Cob0Morphism) -> str:
 
 def _parse_group(desc: list[str], lineno: int) -> FiniteGroup:
     if len(desc) == 1 and desc[0].startswith("cyclic:"):
-        try:
-            k = int(desc[0].split(":", 1)[1])
-        except ValueError:
+        k = desc[0].split(":", 1)[1]
+        if not _is_natural(k) or int(k) < 1:
             raise ParseError(f"bad cyclic group descriptor {desc[0]!r}", lineno)
-        return cyclic_group(k)
+        return cyclic_group(int(k))
     if desc and desc[0] == "table":
         if len(desc) != 2:
             raise ParseError("table expects one row-list argument", lineno)
@@ -290,7 +303,8 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
     groups: dict = {}
     left: dict = {}
     right: dict = {}
-    for lineno, directive, args in extra:
+    # group lines first, so each action line is checked against its group
+    for lineno, directive, args in sorted(extra, key=lambda d: d[1] != "group"):
         if directive == "group":
             if len(args) < 2:
                 raise ParseError("group expects <vertex> <descriptor>", lineno)
@@ -314,6 +328,14 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
                     f"got {len(images)}",
                     lineno,
                 )
+            acting = v if directive == "laction" else w
+            group = groups.get(acting, trivial_group())
+            if g not in group.elements:
+                raise ParseError(f"{g!r} is not an element of the group at {acting!r}", lineno)
+            if set(images) != set(edge_ids):
+                raise ParseError(f"images are not a permutation of the edges {v!r}->{w!r}", lineno)
+            if g == group.identity and images != edge_ids:
+                raise ParseError(f"the identity {g!r} must act trivially", lineno)
             perm = dict(zip(edge_ids, images))
             per_element = (left if directive == "laction" else right).setdefault((v, w), {})
             if g in per_element:
@@ -332,8 +354,8 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
         grp = bg.groups[v]
         if grp.is_trivial():
             continue
-        if grp.name.startswith("cyclic:"):
-            out.append(f"group {vertex_token(v)} {grp.name}")
+        if grp == cyclic_group(grp.order):
+            out.append(f"group {vertex_token(v)} cyclic:{grp.order}")
         else:
             # identity first: the parser reads the first row as the elements
             order = [grp.identity] + [a for a in grp.elements if a != grp.identity]

@@ -131,37 +131,30 @@ def check_faithfulness(source, target, max_circles: int) -> CheckReport:
     it.
 
     Also exhibits, whenever max_circles >= 1 and the hom-set is nonempty,
-    a witness pair showing the plain (wager-free) functor is NOT injective:
-    two morphisms differing only in circles share their graph.
+    a witness that the plain (wager-free) functor is NOT injective: fewer
+    distinct graphs than morphisms, so two differing only in circles share
+    their graph.
     """
     morphisms = cob0_enumerate(source, target, max_circles)
-    images: dict[tuple, Cob0Morphism] = {}
-    collisions = []
-    graph_only: dict[Graph, Cob0Morphism] = {}
-    plain_witness = None
+    images: dict[Project, Cob0Morphism] = {}
+    first_collision = None
     for m in morphisms:
-        proj = functor_bar(m)
-        key = (proj.graph, proj.wager)
-        if key in images:
-            collisions.append((images[key], m))
-        else:
-            images[key] = m
-        if proj.graph in graph_only and plain_witness is None:
-            plain_witness = (graph_only[proj.graph], m)
-        else:
-            graph_only.setdefault(proj.graph, m)
+        image = functor_bar(m)
+        if image not in images:
+            images[image] = m
+        elif first_collision is None:
+            first_collision = (images[image], m)
 
-    passed = not collisions
-    witness_found = plain_witness is not None
-    expected_witness = max_circles >= 1 and bool(morphisms)
+    witness_found = len({image.graph for image in images}) < len(morphisms)
     details = {
         "hom_size": len(morphisms),
         "distinct_images": len(images),
         "plain_functor_witness": witness_found,
     }
-    if expected_witness and not witness_found:
+    passed = first_collision is None
+    if max_circles >= 1 and morphisms and not witness_found:
         passed = False
         details["error"] = "expected a graph-only collision witness"
-    if collisions:
-        details["first_collision"] = str(collisions[0])
+    if first_collision is not None:
+        details["first_collision"] = str(first_collision)
     return CheckReport("faithfulness", passed, details)

@@ -82,9 +82,7 @@ def test_criterion_1_associativity_campaign():
 
 
 def test_criterion_2_trefoil_campaign():
-    result = campaign_trefoil(
-        trials=1000, seed=42, max_vertices=8, max_edges=8, mode=DIRECTED
-    )
+    result = campaign_trefoil(trials=1000, seed=42, max_vertices=8, max_edges=8)
     ok = result.failed == 0 and result.passed + result.skipped == 1000
     ok = ok and result.elapsed < 30.0
     _report(
@@ -97,7 +95,7 @@ def test_criterion_2_trefoil_campaign():
 
 
 def test_criterion_3_cob0_category_laws():
-    result = campaign_cob0_laws(bound=3, max_circles=1)
+    result = campaign_cob0_laws(bound=3)
     ok = result.failed == 0 and result.elapsed < 60.0
     _report(
         3,
@@ -110,7 +108,7 @@ def test_criterion_3_cob0_category_laws():
 
 
 def test_criterion_4_functoriality():
-    result = campaign_functor(bound=3, max_circles=2)
+    result = campaign_functor(bound=3)
     ok = result.failed == 0 and result.notes["directed_is_twice_unoriented"]
     _report(
         4,
@@ -121,7 +119,7 @@ def test_criterion_4_functoriality():
 
 
 def test_criterion_5_faithfulness():
-    result = campaign_faithful(total_bound=6, max_circles=2)
+    result = campaign_faithful(bound=6)
     images = result.notes["images_by_boundary_size"]
     ok = result.failed == 0 and images.get(6) == 45
 
@@ -220,7 +218,7 @@ def test_criterion_8_bimodular():
     g = BimodularGraph(g_graph, groups={"m": z2})
     ok = ok and len(bimod_compose2(f, g).graph.edges) == 1
 
-    well_defined = campaign_bimod_well_defined(trials=200, seed=42, max_group_order=4)
+    well_defined = campaign_bimod_well_defined(trials=200, seed=42)
     ok = ok and well_defined.failed == 0
     _report(
         8,

@@ -179,7 +179,7 @@ functor: PASS
 campaign=functor verdict=PASS trials=189 passed=189 failed=0 skipped=0 directed_is_twice_unoriented=True""",
     ),
     "faithful": (
-        lambda: campaigns.campaign_faithful(total_bound=4),
+        lambda: campaigns.campaign_faithful(bound=4),
         """\
 faithful: PASS
   trials  = 15

@@ -204,7 +204,7 @@ class TestCheck:
         [
             ("cob0-laws", "campaign_cob0_laws", "bound"),
             ("functor", "campaign_functor", "bound"),
-            ("faithful", "campaign_faithful", "total_bound"),
+            ("faithful", "campaign_faithful", "bound"),
         ],
     )
     def test_exhaustive_bound_passed_only_when_given(
@@ -221,6 +221,31 @@ class TestCheck:
         assert run(capsys, "check", prop)[0] == 0
         assert run(capsys, "check", prop, "--exhaustive-bound", "0")[0] == 0
         assert calls == [{}, {keyword: 0}]
+
+    @pytest.mark.parametrize(
+        "prop, campaign",
+        [
+            ("assoc", "campaign_associativity"),
+            ("trefoil", "campaign_trefoil"),
+            ("bimod-degeneracy", "campaign_bimod_degeneracy"),
+            ("bimod-well-defined", "campaign_bimod_well_defined"),
+        ],
+    )
+    def test_random_campaign_gets_only_typed_flags(self, monkeypatch, capsys, prop, campaign):
+        calls = []
+        real = getattr(cli, campaign)
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real(trials=0)
+
+        monkeypatch.setattr(cli, campaign, spy)
+        assert run(capsys, "check", prop)[0] == 0
+        typed = ("--seed", "7", "--max-vertices", "8", "--max-edges", "3", "--exhaustive-bound", "1")
+        assert run(capsys, "check", prop, *typed)[0] == 0
+        # the bimodular campaigns cap the typed sizes; none reads the bound
+        vertices = 5 if prop.startswith("bimod") else 8
+        assert calls == [{}, {"seed": 7, "max_vertices": vertices, "max_edges": 3}]
 
     def test_bimodular_cap_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(bimodular, "_ORBIT_CAP", 1)

@@ -238,6 +238,27 @@ class TestCobordismFormat:
         with pytest.raises(ParseError):
             parse_cobordism("cob c\nleft a1 a2\nright b1 b2\npair a1 a2\n")
 
+    def test_second_cob_line_reports_line(self):
+        with pytest.raises(ParseError, match="duplicate cob") as err:
+            parse_cobordism("cob c\nleft a\nright b\ncob d\npair a b\n")
+        assert err.value.line == 4
+
+    def test_repeated_pair_reports_line(self):
+        with pytest.raises(ParseError, match="already paired on line 4") as err:
+            parse_cobordism("cob c\nleft a\nright b\npair a b\npair a b\n")
+        assert err.value.line == 5
+
+    def test_pair_joining_a_point_to_itself_reports_line(self):
+        with pytest.raises(ParseError, match="to itself") as err:
+            parse_cobordism("cob c\nleft a b\npair a a\npair a b\n")
+        assert err.value.line == 3
+
+    def test_point_in_two_pairs_reports_line(self):
+        text = "cob c\nleft a1 a2\nright b1 b2\npair a1 b1\npair b2 a2\npair b1 a2\n"
+        with pytest.raises(ParseError, match="R:b1 is already paired on line 4") as err:
+            parse_cobordism(text)
+        assert err.value.line == 6
+
     def test_round_trip(self):
         m = cob0_morphism(
             {"a1", "a2"},
@@ -295,6 +316,58 @@ class TestBimodularFormat:
         bg = BimodularGraph(Graph({"v", "w"}, [("e", "v", "w")]), {"v": grp})
         _, parsed = parse_bimodular(render_bimodular("b", bg))
         assert parsed.groups["v"] == grp
+
+    def test_relabelled_cyclic_group_round_trips(self):
+        # named like cyclic_group(2) but on other elements: written as a table
+        z2 = cyclic_group(2)
+        relabel = {"0": "e", "1": "a"}
+        grp = FiniteGroup(
+            "cyclic:2", ["e", "a"],
+            {(relabel[x], relabel[y]): relabel[z] for (x, y), z in z2.table.items()},
+        )
+        graph = Graph({"v", "m"}, [("e1", "v", "m"), ("e2", "v", "m")])
+        right = {("v", "m"): {"a": {"e1": "e2", "e2": "e1"}}}
+        bg = BimodularGraph(graph, {"v": z2, "m": grp}, {}, right)
+        text = render_bimodular("b", bg)
+        assert "group m table e,a;a,e" in text and "group v cyclic:2" in text
+        _, parsed = parse_bimodular(text)
+        assert parsed.groups == bg.groups
+        assert parsed.right == bg.right
+
+    @pytest.mark.parametrize("desc", ["cyclic:0", "cyclic:x", "cyclic:٣"])
+    def test_bad_cyclic_descriptor_reports_line(self, desc):
+        text = f"graph b\nvertex v\ngroup v {desc}\n"
+        with pytest.raises(ParseError, match="bad cyclic group") as err:
+            parse_bimodular(text)
+        assert err.value.line == 3
+
+    def test_group_line_may_follow_the_action_line(self):
+        text = (
+            "graph b\nvertex v\nvertex m\nedge e1 v m\nedge e2 v m\n"
+            "raction v m 1 e2 e1\ngroup m cyclic:2\n"
+        )
+        _, bg = parse_bimodular(text)
+        assert bg.right[("v", "m")]["1"] == {"e1": "e2", "e2": "e1"}
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            "raction v m 7 e2 e1",  # cyclic:2 at m has no element 7
+            "laction v m 1 e2 e1",  # v has the trivial group
+            "raction v m 1 e1 e1",  # not a permutation
+            "raction v m 1 e1 e3",  # not the edges from v to m
+            "raction v m 0 e2 e1",  # the identity must act trivially
+        ],
+        ids=["foreign-element", "trivial-group", "repeated-image", "foreign-image", "identity"],
+    )
+    def test_action_error_decided_by_one_line_reports_it(self, action):
+        text = (
+            "graph b\nvertex v\nvertex m\nedge e1 v m\nedge e2 v m\n"
+            f"{action}\ngroup m cyclic:2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_bimodular(text)
+        assert err.value.line == 6
 
     def test_element_outside_the_group_rejected(self):
         text = (
