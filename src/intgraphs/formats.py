@@ -17,9 +17,11 @@ Projects add `wager <n|omega>` to a graph block.  Cobordisms:
     circles 2
 
 `pair` points may carry `L:`/`R:` prefixes; a bare label is accepted when
-it names a point on exactly one side.  Each point takes at most one
-`pair` line, and a block at most one `cob` line.  Bimodular graphs
-extend the graph block:
+it names a point on exactly one side.  A graph declares each vertex
+once; a cobordism lists each label at most once per side, over any
+number of `left` and `right` lines.  Each point takes at most one `pair`
+line, and a block at most one `cob` line.  Bimodular graphs extend the
+graph block:
 
     group v cyclic:2
     group w table e,a;a,e
@@ -42,7 +44,8 @@ the homomorphism law or does not commute with the other side involve
 several lines or none, and carry no line.
 
 Every id written by the renderers is a whitespace-free token; composite
-edge ids (flattened path sequences) are dot-joined for display.
+edge ids (flattened path sequences) are dot-joined for display.  DOT
+output escapes ``\\`` and ``"`` in every quoted string.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
         elif directive == "vertex":
             if len(args) != 1:
                 raise ParseError("vertex expects exactly one id", lineno)
+            if args[0] in vertex_set:
+                raise ParseError(f"duplicate vertex {args[0]!r}", lineno)
             vertices.append(args[0])
             vertex_set.add(args[0])
         elif directive == "edge":
@@ -215,10 +220,12 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
             if name is not None:
                 raise ParseError("duplicate cob declaration", lineno)
             name = args[0]
-        elif directive == "left":
-            left.update(args)
-        elif directive == "right":
-            right.update(args)
+        elif directive in ("left", "right"):
+            points = left if directive == "left" else right
+            for label in args:
+                if label in points:
+                    raise ParseError(f"duplicate {directive} point {label!r}", lineno)
+                points.add(label)
         elif directive == "pair":
             if len(args) != 2:
                 raise ParseError("pair expects exactly two points", lineno)
@@ -378,11 +385,16 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT quoted string, ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(name: str, graph: Graph) -> str:
     """DOT rendering; opposite edge pairs collapse to one dir=both edge."""
-    lines = [f'digraph "{name}" {{']
+    lines = [f"digraph {_dot_string(name)} {{"]
     for v in sorted(graph.vertices, key=vertex_token):
-        lines.append(f'  "{vertex_token(v)}";')
+        lines.append(f"  {_dot_string(vertex_token(v))};")
     remaining = sorted(graph.edges, key=lambda e: id_token(e.id))
     used: set = set()
     by_endpoints: dict = {}
@@ -392,6 +404,7 @@ def to_dot(name: str, graph: Graph) -> str:
         if e.id in used:
             continue
         used.add(e.id)
+        ends = f"{_dot_string(vertex_token(e.src))} -> {_dot_string(vertex_token(e.tgt))}"
         partner = None
         for cand in by_endpoints.get((e.tgt, e.src), []):
             if cand.id not in used:
@@ -399,14 +412,9 @@ def to_dot(name: str, graph: Graph) -> str:
                 break
         if partner is not None:
             used.add(partner.id)
-            lines.append(
-                f'  "{vertex_token(e.src)}" -> "{vertex_token(e.tgt)}" '
-                f'[dir=both, label="{id_token(e.id)} / {id_token(partner.id)}"];'
-            )
+            label = f"{id_token(e.id)} / {id_token(partner.id)}"
+            lines.append(f"  {ends} [dir=both, label={_dot_string(label)}];")
         else:
-            lines.append(
-                f'  "{vertex_token(e.src)}" -> "{vertex_token(e.tgt)}" '
-                f'[label="{id_token(e.id)}"];'
-            )
+            lines.append(f"  {ends} [label={_dot_string(id_token(e.id))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

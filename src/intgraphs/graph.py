@@ -286,6 +286,8 @@ class Path:
 
     Consecutive steps must compose (target meets source) and alternate
     sides; both are checked on construction (InvariantViolationError).
+    A target meets a source when they are equal or the same object, as
+    `derived_graph`'s dict lookup joins them (a shared NaN vertex meets).
     """
 
     steps: tuple[tuple[int, Edge], ...]
@@ -296,7 +298,7 @@ class Path:
         steps = iter(self.steps)
         sa, ea = next(steps)
         for sb, eb in steps:
-            if ea.tgt != eb.src:
+            if ea.tgt != eb.src and ea.tgt is not eb.src:
                 raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not compose")
             if sa == sb:
                 raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not alternate")
@@ -566,33 +568,18 @@ def _is_periodic(seq: tuple[DerivedNode, ...]) -> bool:
     return False
 
 
-def _is_reversal(a: tuple[DerivedNode, ...], b: tuple[DerivedNode, ...]) -> bool:
-    """True when b is an edgewise reversal of a up to rotation: after some
-    rotation, each step of b traverses an opposite edge (same side, swapped
-    endpoints) of the corresponding step of reversed a."""
-    n = len(a)
-    if len(b) != n:
-        return False
-    rev = tuple(reversed(a))
-    for k in range(n):
-        rot = b[k:] + b[:k]
-        if all(
-            sb == sa and eb.src == ea.tgt and eb.tgt == ea.src
-            for (sa, ea), (sb, eb) in zip(rev, rot)
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class CycleClass:
     """An equivalence class of prime alternating cycles.
 
     ``steps`` is the canonical representative: the lexicographically least
-    rotation of the (side, Edge) sequence in `_node_order`.
-    In unoriented mode the class also absorbs the edgewise reversal; the
-    representative is then the least canonical form over the merged
-    classes.
+    rotation of the (side, Edge) sequence in `_node_order`.  Followed by
+    its first step again, it must form a `Path`, so it chains and
+    alternates cyclically, vertices meeting when they are equal or the
+    same object, as in `derived_graph`.  In unoriented mode the class
+    also absorbs the edgewise reversal, which `prime_cycles` finds by one
+    lookup per step; the representative is then the least canonical form
+    over the merged classes.
     """
 
     steps: tuple[tuple[int, Edge], ...]
@@ -601,16 +588,7 @@ class CycleClass:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InvariantViolationError(f"unknown cycle mode {self.mode!r}")
-        n = len(self.steps)
-        if n < 1:
-            raise InvariantViolationError("a cycle has at least one edge")
-        for i in range(n):
-            sa, ea = self.steps[i]
-            sb, eb = self.steps[(i + 1) % n]
-            if ea.tgt != eb.src:
-                raise InvariantViolationError("cycle steps must chain cyclically")
-            if sa == sb:
-                raise InvariantViolationError("cycle steps must alternate cyclically")
+        Path(self.steps + self.steps[:1])
         if self.steps != _canonical_rotation(self.steps):
             raise InvariantViolationError("not canonical")
         if _is_periodic(self.steps):
@@ -621,7 +599,11 @@ class CycleClass:
         return tuple(e.id for _, e in self.steps)
 
     def is_own_reversal(self) -> bool:
-        return _is_reversal(self.steps, self.steps)
+        """True when the cycle traversed backwards over opposite edges
+        (same side, swapped endpoints) is itself, up to rotation."""
+        word = [(side, e.src, e.tgt) for side, e in self.steps]
+        back = [(side, e.tgt, e.src) for side, e in reversed(self.steps)]
+        return any(word[k:] + word[:k] == back for k in range(len(word)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -634,6 +616,14 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
     of the derived graph is trivial or a single simple cycle; otherwise
     InfiniteCycleSetError is raised.  Directed mode counts classes up to
     rotation, unoriented mode additionally identifies edgewise reversals.
+    Vertices meet when they are equal or the same object, as in
+    `derived_graph`.  A cycle's reversal partner is found by one lookup per
+    step, of the opposite node (same side, swapped endpoints).  The lookup
+    is exact: in the finite regime no two cycle nodes share side and
+    endpoints, since such a twin would share a predecessor with its node
+    and give that predecessor two continuations inside the component.
+    When every step's lookup hits, the opposite nodes close backwards into
+    one whole cycle, the partner.
     """
     if mode not in MODES:
         raise ValueError(f"unknown cycle mode {mode!r}")
@@ -666,27 +656,12 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
     if mode == DIRECTED:
         return [CycleClass(seq, DIRECTED) for seq in representatives]
 
-    # Merge reversal partners.  In the finite regime each class has at most
-    # one reversal partner (two distinct concrete reversals would splice
-    # into a component with two simple cycles, contradicting finiteness).
+    # Keep the first cycle of each reversal pair: the representatives are
+    # sorted, so it is the least canonical form of the pair.
+    owner = {(side, e.src, e.tgt): i for i, seq in enumerate(representatives) for side, e in seq}
     merged: list[CycleClass] = []
-    used = [False] * len(representatives)
     for i, seq in enumerate(representatives):
-        if used[i]:
-            continue
-        used[i] = True
-        partners = [
-            j
-            for j in range(i + 1, len(representatives))
-            if not used[j] and _is_reversal(seq, representatives[j])
-        ]
-        # two distinct partners would be positionwise-parallel and splice
-        # into a component with two simple cycles, contradicting finiteness
-        if len(partners) > 1:
-            raise InvariantViolationError("a cycle class has two reversal partners")
-        for j in partners:
-            used[j] = True
-        # representatives are sorted, so seq is the least canonical form of
-        # the merged pair.
-        merged.append(CycleClass(seq, UNORIENTED))
+        partner = [owner.get((side, e.tgt, e.src)) for side, e in seq]
+        if None in partner or partner[0] >= i:
+            merged.append(CycleClass(seq, UNORIENTED))
     return merged

@@ -109,6 +109,25 @@ class TestMeasure:
         assert measure(G, H, UNORIENTED) <= measure(G, H, DIRECTED)
 
 
+class TestSharedNanVertex:
+    """A NaN vertex object used by both graphs meets itself, as it does as
+    a dict key in the derived graph, though ``nan != nan``."""
+
+    NAN = float("nan")
+
+    def test_execute_composes_through_it(self):
+        G = g({"a", self.NAN}, [("e", "a", self.NAN)])
+        H = g({self.NAN, "b"}, [("f", self.NAN, "b")])
+        result = execute(G, H)
+        assert [(e.id, e.src, e.tgt) for e in result.edges] == [(("e", "f"), "a", "b")]
+
+    def test_measure_merges_a_reversal_pair_through_it(self):
+        G = g({"a", self.NAN}, [("e1", "a", self.NAN), ("e2", self.NAN, "a")])
+        H = g({"a", self.NAN}, [("f1", self.NAN, "a"), ("f2", "a", self.NAN)])
+        assert measure(G, H, DIRECTED) == 2
+        assert measure(G, H, UNORIENTED) == 1
+
+
 class TestAssociativity:
     def test_three_cycle_collapses_to_empty(self):
         F = g({"x", "y"}, [("e", "x", "y")])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,11 @@ class TestGraphFormat:
         text = "graph g\nvertex a\nedge e a a\nedge e a a\n"
         with pytest.raises(ParseError) as err:
             parse_graph(text)
+        assert err.value.line == 4
+
+    def test_duplicate_vertex_reports_line(self):
+        with pytest.raises(ParseError, match="duplicate vertex 'a'") as err:
+            parse_graph("graph g\nvertex a\nvertex b\nvertex a\n")
         assert err.value.line == 4
 
     def test_unknown_directive(self):
@@ -259,6 +265,24 @@ class TestCobordismFormat:
             parse_cobordism(text)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize(
+        "boundary, line, message",
+        [
+            ("left a a\nright b\n", 2, "duplicate left point 'a'"),
+            ("left a\nright b\nleft c a\n", 4, "duplicate left point 'a'"),
+            ("right b\nleft a\nright b\n", 4, "duplicate right point 'b'"),
+        ],
+    )
+    def test_repeated_label_on_one_side_reports_line(self, boundary, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_cobordism(f"cob c\n{boundary}pair a b\n")
+        assert err.value.line == line
+
+    def test_labels_may_spread_over_several_lines(self):
+        text = "cob c\nleft a1\nleft a2\nright a1\nright b\npair L:a1 a2\npair R:a1 b\n"
+        _, m = parse_cobordism(text)
+        assert m.source == {"a1", "a2"} and m.target == {"a1", "b"}
+
     def test_round_trip(self):
         m = cob0_morphism(
             {"a1", "a2"},
@@ -449,3 +473,13 @@ class TestDot:
         dot = to_dot("g", g)
         assert '"a" -> "b"' in dot
         assert "dir=both" not in dot
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        v, w = 'a"b', "c\\"
+        g = Graph({v, w}, [('e"', v, w), ("f\\", w, v), ('x"\\', w, w)])
+        dot = to_dot('n"', g)
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        # every quote opens or closes one well-formed quoted string
+        assert '"' not in quoted.sub("", dot)
+        tokens = [re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted.findall(dot)]
+        assert tokens == ['n"', v, w, v, w, 'e" / f\\', w, w, 'x"\\']

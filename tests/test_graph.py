@@ -10,6 +10,7 @@ from intgraphs.graph import (
     DIRECTED,
     OMEGA,
     UNORIENTED,
+    CycleClass,
     DuplicateEdgeIdError,
     Edge,
     ExtNat,
@@ -352,6 +353,17 @@ class TestPrimeCycles:
         assert len(directed) == len(unoriented) == 1
         assert directed[0].is_own_reversal()
 
+    def test_one_reversed_step_does_not_make_a_reversal(self):
+        # Only e1 has an opposite edge on a cycle: r, on the 2-cycle r k.
+        # Neither cycle is the other's reversal, so both stay apart.
+        G = g("abcd", [("e1", "a", "b"), ("e3", "c", "d"), ("r", "b", "a")])
+        H = g("abcd", [("f1", "b", "c"), ("f2", "d", "a"), ("k", "a", "b")])
+        directed = prime_cycles(G, H, DIRECTED)
+        unoriented = prime_cycles(G, H, UNORIENTED)
+        expected = [("e1", "f1", "e3", "f2"), ("k", "r")]
+        assert [c.edge_ids for c in directed] == [c.edge_ids for c in unoriented] == expected
+        assert not directed[0].is_own_reversal()
+
     def test_canonical_form_is_rotation_invariant(self):
         G = g({"a", "b", "c", "d"}, [("e1", "a", "b"), ("e2", "c", "d")])
         H = g({"a", "b", "c", "d"}, [("f1", "b", "c"), ("f2", "d", "a")])
@@ -435,6 +447,34 @@ class TestPathInvariants:
         with pytest.raises(InvariantViolationError) as err:
             Path(tuple(steps))
         assert str(err.value) == "edges 'e2', 'e3' do not compose"
+
+
+class TestCycleClassInvariants:
+    E = Edge("e", "a", "b")
+    F = Edge("f", "b", "a")
+
+    def test_a_valid_cycle_is_accepted(self):
+        cycle = CycleClass(((0, self.E), (1, self.F)), DIRECTED)
+        assert cycle.edge_ids == ("e", "f")
+
+    @pytest.mark.parametrize(
+        "steps, mode, message",
+        [
+            (((0, E), (1, F)), "sideways", "unknown cycle mode 'sideways'"),
+            ((), DIRECTED, "a path has at least one edge"),
+            (((0, E), (1, Edge("f", "c", "a"))), DIRECTED, "edges 'e', 'f' do not compose"),
+            (((0, E), (1, Edge("f", "b", "c"))), DIRECTED, "edges 'f', 'e' do not compose"),
+            (((0, E), (0, F)), DIRECTED, "edges 'e', 'f' do not alternate"),
+            (((0, E),), DIRECTED, "edges 'e', 'e' do not compose"),
+            (((1, F), (0, E)), DIRECTED, "not canonical"),
+            (((0, E), (1, F), (0, E), (1, F)), UNORIENTED, "cycle is a proper power"),
+        ],
+        ids=["mode", "empty", "chain", "chain-back", "alternate", "one-step", "rotation", "power"],
+    )
+    def test_invalid_cycles_are_rejected(self, steps, mode, message):
+        with pytest.raises(InvariantViolationError) as err:
+            CycleClass(steps, mode)
+        assert str(err.value) == message
 
 
 # ids 1 and "1" reach the type-aware tie-break; a repeated id with other
