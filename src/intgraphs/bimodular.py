@@ -10,7 +10,8 @@ along a middle vertex identifies the pair (e, e') with
 are orbits of pairs, exactly as in a tensor product of bimodules.
 Execution generalises this to alternating paths, quotienting by the
 product of the interface-junction groups.  Orbits are closed over the
-kernel's paths in node order; the first member met names the orbit.
+kernel's paths in node order; the first member met names the orbit.  The
+quotient graph is built as `execute` builds its result.
 
 All groups are finite with explicit multiplication tables; cyclic and
 small permutation groups are provided as builders.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterable, Mapping
 
 from .graph import (
@@ -31,9 +33,8 @@ from .graph import (
     Vertex,
     alternating_paths,
     derived_graph,
-    flatten,
 )
-from .execution import CheckReport
+from .execution import CheckReport, _executed_graph
 
 
 class IncompatibleGroupsError(GraphError):
@@ -277,21 +278,14 @@ class BimodularGraph:
 
 
 def _check_compatible(f: BimodularGraph, g: BimodularGraph) -> None:
+    """The groups at each shared vertex must agree.  Edge ids may be
+    shared: an id used by both operands names two edges, one per side,
+    each acted on by its own side's tables."""
     for v in f.graph.vertices & g.graph.vertices:
         if f.groups[v] != g.groups[v]:
             raise IncompatibleGroupsError(
                 f"groups at shared vertex {v!r} differ: "
                 f"{f.groups[v]!r} vs {g.groups[v]!r}"
-            )
-    shared_ids = f.graph.edge_ids & g.graph.edge_ids
-    for eid in shared_ids:
-        ef, eg = f.graph.edge(eid), g.graph.edge(eid)
-        if (ef.src, ef.tgt) != (eg.src, eg.tgt):
-            raise IncompatibleActionsError(f"shared edge {eid!r} has different endpoints")
-        key = (ef.src, ef.tgt)
-        if f.left[key] != g.left[key] or f.right[key] != g.right[key]:
-            raise IncompatibleActionsError(
-                f"actions on shared edge set {key!r} differ"
             )
 
 
@@ -306,7 +300,7 @@ def bimod_compose2(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     _check_compatible(f, g)
     dg = derived_graph(f.graph, g.graph)
     starts = [
-        (dg.nodes[i], dg.nodes[j])
+        Path((dg.nodes[i], dg.nodes[j]))
         for i, (side, _) in enumerate(dg.nodes)
         if side == 0 and dg.is_initial[i]
         for j in dg.succ[i]
@@ -357,58 +351,42 @@ def _path_orbit(bgs: tuple[BimodularGraph, BimodularGraph], start: Steps) -> fro
 
 
 def _orbits(
-    bgs: tuple[BimodularGraph, BimodularGraph], starts: Iterable[Steps]
-) -> tuple[dict[Steps, tuple], list[tuple[tuple, Steps]]]:
+    bgs: tuple[BimodularGraph, BimodularGraph], starts: Iterable[Path]
+) -> tuple[dict[Steps, tuple], list[Path]]:
     """The junction-group orbits through ``starts``: a map from each
-    member's steps to its orbit's edge id, and the (id, representative)
-    pairs in order of arrival.  The starts come in node order and hold
-    every member of each orbit (a junction move keeps vertices and sides),
-    so the first member met is the least; its flat id is the orbit's id."""
+    member's steps to its orbit's edge id, and the representatives in order
+    of arrival.  The starts come in node order and hold every member of
+    each orbit (a junction move keeps vertices and sides), so the first
+    member met is the least; its flat id is the orbit's id."""
     orbit_of: dict[Steps, tuple] = {}
-    reps: list[tuple[tuple, Steps]] = []
-    for steps in starts:
-        if steps in orbit_of:
+    reps: list[Path] = []
+    for path in starts:
+        if path.steps in orbit_of:
             continue
-        key = flatten(tuple(e.id for _, e in steps))
-        reps.append((key, steps))
-        for member in _path_orbit(bgs, steps):
-            orbit_of[member] = key
+        reps.append(path)
+        for member in _path_orbit(bgs, path.steps):
+            orbit_of[member] = path.flat_id
     return orbit_of, reps
-
-
-def _path_quotient(
-    f: BimodularGraph, g: BimodularGraph
-) -> tuple[list[Path], dict[Steps, tuple], list[tuple[tuple, Steps]]]:
-    """Orbits of the alternating paths between the underlying graphs.
-
-    Returns the paths, a map from each path's steps to its orbit's edge id,
-    and the (id, representative) pairs in node order.
-    """
-    _check_compatible(f, g)
-    paths = alternating_paths(f.graph, g.graph)
-    orbit_of, reps = _orbits((f, g), [p.steps for p in paths])
-    return paths, orbit_of, reps
 
 
 def _quotient_graph(
     bgs: tuple[BimodularGraph, BimodularGraph],
     orbit_of: dict[Steps, tuple],
-    reps: list[tuple[tuple, Steps]],
+    reps: list[Path],
 ) -> BimodularGraph:
-    """One boundary edge per orbit, in the order of ``reps``, with the
-    boundary actions descending to the orbits through their representatives."""
+    """The executed graph of the representatives, one edge per orbit, with
+    the boundary actions descending to the orbits through them."""
     f, g = bgs
-    boundary = f.graph.vertices ^ g.graph.vertices
-    result_graph = Graph(
-        boundary, [Edge(key, rep[0][1].src, rep[-1][1].tgt) for key, rep in reps]
-    )
+    result_graph = _executed_graph(f.graph, g.graph, reps)
     groups = {
-        v: (f.groups[v] if v in f.graph.vertices else g.groups[v]) for v in boundary
+        v: (f.groups[v] if v in f.graph.vertices else g.groups[v])
+        for v in result_graph.vertices
     }
 
     left: dict = {}
     right: dict = {}
-    for key, rep in reps:
+    for path in reps:
+        key, rep = path.flat_id, path.steps
         s0, e0 = rep[0]
         sn, en = rep[-1]
         pair = (e0.src, en.tgt)
@@ -427,30 +405,28 @@ def bimod_execute(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     """Execution of bimodular graphs: alternating paths quotiented by the
     junction groups, with the boundary actions descending to orbits.
 
-    With all groups trivial this degenerates to plain execution of the
-    underlying graphs.  Raises InfinitePathSetError via the same detector
-    as plain execution.
+    With all groups trivial this equals `execute` of the underlying graphs
+    on every input, errors included, and an edge id used by both operands
+    names two edges, as there.  Raises InfinitePathSetError via the same
+    detector as plain execution.
     """
-    _, orbit_of, reps = _path_quotient(f, g)
-    return _quotient_graph((f, g), orbit_of, reps)
+    _check_compatible(f, g)
+    return _quotient_graph((f, g), *_orbits((f, g), alternating_paths(f.graph, g.graph)))
 
 
 def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:
     """Verify the path quotient is representative-independent: acting by
     every tuple of junction-group elements on every path lands in the
     path's own computed orbit."""
-    paths, orbit_of, _ = _path_quotient(f, g)
+    _check_compatible(f, g)
     bgs = (f, g)
+    paths = alternating_paths(f.graph, g.graph)
+    orbit_of, _ = _orbits(bgs, paths)
     checked = 0
     violations = []
     for p in paths:
-        junctions = [
-            bgs[p.steps[i - 1][0]].groups[p.steps[i - 1][1].tgt]
-            for i in range(1, len(p.steps))
-        ]
-        total = 1
-        for grp in junctions:
-            total *= grp.order
+        junctions = [bgs[s].groups[e.tgt] for s, e in p.steps[:-1]]
+        total = math.prod(grp.order for grp in junctions)
         if total > _ORBIT_CAP:
             raise OrbitCapExceededError(
                 f"junction-group product {total} exceeds {_ORBIT_CAP}; too large "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from .graph import (
     DIRECTED,
@@ -27,6 +27,7 @@ from .graph import (
     Graph,
     GraphError,
     InfiniteCycleSetError,
+    Path,
     _order_key,
     alternating_paths,
     flatten,
@@ -56,17 +57,23 @@ def execute(g: Graph, h: Graph) -> Graph:
 
     Raises InfinitePathSetError when the path set is infinite.
     """
-    paths = alternating_paths(g, h)
-    boundary = g.vertices ^ h.vertices
+    return _executed_graph(g, h, alternating_paths(g, h))
+
+
+def _executed_graph(g: Graph, h: Graph, paths: Iterable[Path]) -> Graph:
+    """The graph on the vertices of g or h alone, with one edge per path
+    named by its flat id; two paths with one flat id raise as `execute`
+    says."""
     try:
-        return Graph(boundary, [(p.flat_id, p.source, p.target) for p in paths])
+        return Graph(
+            g.vertices ^ h.vertices, [(p.flat_id, p.source, p.target) for p in paths]
+        )
     except DuplicateEdgeIdError as exc:
         shared = _base_ids(g) & _base_ids(h)
         if not shared:
             raise
-        names = ", ".join(sorted(map(repr, shared)))
         raise PreconditionViolationError(
-            f"execute needs disjoint edge ids, but both graphs use {names}"
+            f"execute needs disjoint edge ids, but both graphs use {show_items(shared)}"
         ) from exc
 
 

@@ -45,16 +45,19 @@ several lines or none, and carry no line.
 
 Every id written by the renderers is a whitespace-free token; composite
 edge ids (flattened path sequences) are dot-joined for display.  DOT
-output escapes ``\\`` and ``"`` in every quoted string.
+output escapes ``\\`` and ``"`` in every quoted string.  Vertices that
+print alike, such as ``1`` and ``"1"``, cannot be written apart, and
+rendering them raises a GraphError.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 from .bimodular import BimodularGraph, FiniteGroup, cyclic_group, trivial_group
 from .cob0 import Cob0Morphism, source_point, target_point
-from .graph import ExtNat, Graph, GraphError, OMEGA, _order_key
+from .graph import ExtNat, Graph, GraphError, OMEGA, _order_key, show_items
 from .interaction import Project
 
 
@@ -142,19 +145,36 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
     return name, Graph(vertices, edges), extra
 
 
+def _vertex_tokens(graph: Graph) -> dict:
+    """Each vertex's token, computed once for every line that names it.
+    Vertices that print alike (``1``, ``"1"``) would be written as one, so
+    those of the least shared token raise a GraphError."""
+    tokens = {v: vertex_token(v) for v in graph.vertices}
+    if len(set(tokens.values())) < len(tokens):
+        counts = Counter(tokens.values())
+        token = min(t for t, n in counts.items() if n > 1)
+        alike = [v for v, t in tokens.items() if t == token]
+        raise GraphError(f"vertices {show_items(alike)} would all be written {token}")
+    return tokens
+
+
 def render_graph(name: str, graph: Graph) -> str:
-    lines = [f"graph {name}"]
-    vtokens = {v: vertex_token(v) for v in graph.vertices}
-    lines += [f"vertex {t}" for t in sorted(vtokens.values())]
+    lines, _ = _graph_lines(name, graph)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _graph_lines(name: str, graph: Graph) -> tuple[list[str], dict]:
+    """The lines of `render_graph`, and the vertex token table they use."""
+    vtokens = _vertex_tokens(graph)
+    lines = [f"graph {name}"] + [f"vertex {t}" for t in sorted(vtokens.values())]
     # one token per edge, both for the order and for the line
     edges = graph.edges
     etokens = [id_token(e.id) for e in edges]
     for i in sorted(range(len(edges)), key=etokens.__getitem__):
         e = edges[i]
         lines.append(f"edge {etokens[i]} {vtokens[e.src]} {vtokens[e.tgt]}")
-    del etokens  # freed before the text is joined
-    lines.append("")
-    return "\n".join(lines)
+    return lines, vtokens
 
 
 def _is_natural(token: str) -> bool:
@@ -356,20 +376,20 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
 
 
 def render_bimodular(name: str, bg: BimodularGraph) -> str:
-    out = [render_graph(name, bg.graph).rstrip("\n")]
-    for v in sorted(bg.graph.vertices, key=vertex_token):
+    out, vtokens = _graph_lines(name, bg.graph)
+    for v in sorted(bg.graph.vertices, key=vtokens.__getitem__):
         grp = bg.groups[v]
         if grp.is_trivial():
             continue
         if grp == cyclic_group(grp.order):
-            out.append(f"group {vertex_token(v)} cyclic:{grp.order}")
+            out.append(f"group {vtokens[v]} cyclic:{grp.order}")
         else:
             # identity first: the parser reads the first row as the elements
             order = [grp.identity] + [a for a in grp.elements if a != grp.identity]
             rows = [
                 ",".join(grp.mul(a, b) for b in order) for a in order
             ]
-            out.append(f"group {vertex_token(v)} table {';'.join(rows)}")
+            out.append(f"group {vtokens[v]} table {';'.join(rows)}")
     for tag, tables in (("laction", bg.left), ("raction", bg.right)):
         for (v, w), per_element in sorted(tables.items(), key=lambda kv: _order_key(kv[0])):
             # image order must follow render_graph's edge order for round-trips
@@ -379,9 +399,7 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
                 if all(perm[eid] == eid for eid in edge_ids):
                     continue
                 images = " ".join(id_token(perm[eid]) for eid in edge_ids)
-                out.append(
-                    f"{tag} {vertex_token(v)} {vertex_token(w)} {g} {images}"
-                )
+                out.append(f"{tag} {vtokens[v]} {vtokens[w]} {g} {images}")
     return "\n".join(out) + "\n"
 
 
@@ -393,8 +411,8 @@ def _dot_string(text: str) -> str:
 def to_dot(name: str, graph: Graph) -> str:
     """DOT rendering; opposite edge pairs collapse to one dir=both edge."""
     lines = [f"digraph {_dot_string(name)} {{"]
-    for v in sorted(graph.vertices, key=vertex_token):
-        lines.append(f"  {_dot_string(vertex_token(v))};")
+    vtokens = _vertex_tokens(graph)
+    lines += [f"  {_dot_string(t)};" for t in sorted(vtokens.values())]
     remaining = sorted(graph.edges, key=lambda e: id_token(e.id))
     used: set = set()
     by_endpoints: dict = {}
@@ -404,7 +422,7 @@ def to_dot(name: str, graph: Graph) -> str:
         if e.id in used:
             continue
         used.add(e.id)
-        ends = f"{_dot_string(vertex_token(e.src))} -> {_dot_string(vertex_token(e.tgt))}"
+        ends = f"{_dot_string(vtokens[e.src])} -> {_dot_string(vtokens[e.tgt])}"
         partner = None
         for cand in by_endpoints.get((e.tgt, e.src), []):
             if cand.id not in used:

@@ -131,10 +131,6 @@ class Graph:
     def edge(self, edge_id: EdgeId) -> Edge:
         return self._by_id[edge_id]
 
-    @property
-    def edge_ids(self) -> frozenset:
-        return frozenset(self._by_id)
-
     def relabel_vertices(self, mapping: dict[Vertex, Vertex]) -> Graph:
         """Rename vertices through ``mapping`` (identity where missing).
 

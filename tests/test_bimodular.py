@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from intgraphs import bimodular
@@ -19,7 +21,7 @@ from intgraphs.bimodular import (
     trivial_group,
 )
 from intgraphs.campaigns import random_bimodular_pair, trial_rng
-from intgraphs.execution import execute, graphs_equal_flattened
+from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened
 from intgraphs.graph import Graph, GraphError, InfinitePathSetError
 
 from oracle import oracle_bimod_quotient
@@ -60,6 +62,32 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             FiniteGroup("bad", ["e", "x"], {("e", "e"): "e", ("e", "x"): "x",
                                             ("x", "e"): "x", ("x", "x"): "x"})
+
+    @pytest.mark.parametrize(
+        "elements, table, message",
+        [
+            (["e", "e"], {("e", "e"): "e"}, "distinct"),
+            (["e", "x"], {("e", "e"): "e", ("e", "x"): "x", ("x", "e"): "x"}, "not closed"),
+            # x.y = x and y.x = y for all x, y: associative, with no identity
+            (["a", "b"], {(x, y): x for x in "ab" for y in "ab"}, "no identity"),
+            # a loop: e is the identity and every element is its own
+            # inverse, but (a.a).b = b while a.(a.b) = a.c = a
+            (list("eabc"),
+             {**{("e", x): x for x in "eabc"}, **{(x, "e"): x for x in "eabc"},
+              **{(x, x): "e" for x in "abc"},
+              ("a", "b"): "c", ("b", "a"): "c", ("a", "c"): "a", ("c", "a"): "b",
+              ("b", "c"): "a", ("c", "b"): "a"},
+             "not associative"),
+        ],
+        ids=["repeated-element", "table-not-closed", "no-identity", "not-associative"],
+    )
+    def test_each_axiom_is_checked(self, elements, table, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup("bad", elements, table)
+
+    def test_symmetric_group_needs_a_positive_degree(self):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            symmetric_group(0)
 
 
 def swap_example():
@@ -115,6 +143,21 @@ class TestBimodularGraphValidation:
                 left={("a", "b"): {"1": {"e1": "e2", "e2": "e1", "e3": "e3"}}},
                 right={("a", "b"): {"1": {"e1": "e1", "e2": "e3", "e3": "e2"}}},
             )
+
+    def test_identity_must_act_trivially(self):
+        graph = Graph({"a", "b"}, [("e1", "a", "b"), ("e2", "a", "b")])
+        with pytest.raises(IncompatibleActionsError, match="identity must act trivially"):
+            BimodularGraph(
+                graph,
+                groups={"a": cyclic_group(2)},
+                left={("a", "b"): {"0": {"e1": "e2", "e2": "e1"}}},
+            )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_action_on_a_pair_with_no_edges_rejected(self, side):
+        graph = Graph({"a", "b"}, [("e", "a", "b")])
+        with pytest.raises(IncompatibleActionsError, match="with no edges"):
+            BimodularGraph(graph, **{side: {("b", "a"): {"0": {}}}})
 
     def test_group_on_unknown_vertex_rejected(self):
         with pytest.raises(IncompatibleGroupsError):
@@ -193,12 +236,57 @@ class TestCompose2:
         assert result.groups["v"] == trivial_group()
 
 
+def _pair_from_one_id_pool(rng: random.Random) -> tuple[Graph, Graph]:
+    """Two small graphs on overlapping vertices whose edge ids both come
+    from the pool e, f, g, h."""
+    def draw() -> Graph:
+        vertices = rng.sample("abcmn", rng.randint(1, 4))
+        ids = rng.sample("efgh", rng.randint(0, 4))
+        return Graph(vertices, [(i, rng.choice(vertices), rng.choice(vertices)) for i in ids])
+    return draw(), draw()
+
+
+def _outcome(op, f_graph: Graph, g_graph: Graph):
+    try:
+        return op(f_graph, g_graph)
+    except GraphError as exc:
+        return exc
+
+
 class TestBimodExecute:
     def test_trivial_groups_degenerate_to_execution(self):
         f_graph = Graph({"a", "b", "c"}, [("e1", "a", "b"), ("e2", "b", "c")])
         g_graph = Graph({"b", "c", "d"}, [("f1", "b", "c"), ("f2", "c", "d")])
         result = bimod_execute(BimodularGraph(f_graph), BimodularGraph(g_graph))
         assert graphs_equal_flattened(result.graph, execute(f_graph, g_graph))
+
+    def test_shared_id_on_distinct_paths_executes_like_plain_execution(self):
+        f_graph = Graph({"a", "m"}, [("e", "a", "m")])
+        g_graph = Graph({"m", "b"}, [("e", "m", "b")])
+        expected = [(("e", "e"), "a", "b")]
+        plain = execute(f_graph, g_graph)
+        bimod = bimod_execute(BimodularGraph(f_graph), BimodularGraph(g_graph))
+        assert [(e.id, e.src, e.tgt) for e in plain.edges] == expected
+        assert [(e.id, e.src, e.tgt) for e in bimod.graph.edges] == expected
+
+    def test_trivial_groups_degenerate_to_execution_on_shared_edge_ids(self):
+        # Both graphs draw their edge ids from one pool, so many pairs share
+        # ids; trivial bimodular execution must run, or fail, as execute does.
+        outcomes = set()
+        for seed in range(1500):
+            f_graph, g_graph = _pair_from_one_id_pool(random.Random(seed))
+            plain = _outcome(execute, f_graph, g_graph)
+            bimod = _outcome(
+                lambda f, g: bimod_execute(BimodularGraph(f), BimodularGraph(g)).graph,
+                f_graph, g_graph,
+            )
+            if isinstance(plain, Graph):
+                assert isinstance(bimod, Graph), (seed, bimod)
+                assert graphs_equal_flattened(bimod, plain), seed
+            else:
+                assert (type(bimod), str(bimod)) == (type(plain), str(plain)), seed
+            outcomes.add(type(plain))
+        assert outcomes == {Graph, PreconditionViolationError, InfinitePathSetError}
 
     def test_single_junction_agrees_with_compose2(self):
         f, g = swap_example()
@@ -379,6 +467,19 @@ def s3_middle_example():
     return f, g
 
 
+def _renamed(bg: BimodularGraph, names: dict) -> BimodularGraph:
+    """``bg`` with each edge id x renamed to names[x], its actions carried
+    along."""
+    def rename(tables):
+        return {
+            pair: {a: {names[x]: names[y] for x, y in perm.items()} for a, perm in table.items()}
+            for pair, table in tables.items()
+        }
+
+    graph = Graph(bg.graph.vertices, [(names[e.id], e.src, e.tgt) for e in bg.graph.edges])
+    return BimodularGraph(graph, bg.groups, rename(bg.left), rename(bg.right))
+
+
 class TestOracleCrossCheck:
     """bimod_execute and bimod_compose2 against `oracle_bimod_quotient`."""
 
@@ -404,3 +505,13 @@ class TestOracleCrossCheck:
         assert assert_matches_oracle(f, g, op)
         # (e<x>, f<k><j>) ~ (e<xh>, f<h^-1(k)><j>): 36 pairs, 6 orbits
         assert len(op(f, g).graph.edges) == 6
+
+    @pytest.mark.parametrize("op", [bimod_execute, bimod_compose2])
+    def test_edge_ids_used_by_both_sides(self, op):
+        # g's six edges m -> w take the ids of f's six edges v -> m, under
+        # other endpoints and other actions: each side's edge moves by its
+        # own side's tables, so the orbits are those of the unrenamed pair
+        f, g = s3_middle_example()
+        shared = _renamed(g, dict(zip(g.edge_set("m", "w"), f.edge_set("v", "m"))))
+        assert assert_matches_oracle(f, shared, op)
+        assert len(op(f, shared).graph.edges) == 6

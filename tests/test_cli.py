@@ -77,6 +77,20 @@ class TestExecute:
         assert "pumpable cycle" in err
 
 
+class TestDot:
+    def test_dot_of_a_sample(self, capsys):
+        code, out, _ = run(capsys, "dot", str(SAMPLES / "arrow_ab.graph"))
+        assert code == 0
+        assert out == 'digraph "arrow_ab" {\n  "a";\n  "b";\n  "a" -> "b" [label="e"];\n}\n'
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.graph"
+        code, out, err = run(capsys, "dot", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {missing}: ")
+
+
 class TestMeasure:
     def test_two_cycle(self, capsys):
         code, out, _ = run(

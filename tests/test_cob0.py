@@ -282,6 +282,10 @@ class TestDecompose:
             "c1dc456f1ffd55819b1cfa5b37571686e2535cb934a96258ddfce719c73f4a08"
         )
 
+    def test_at_least_one_segment(self):
+        with pytest.raises(InvariantViolationError, match="at least one segment"):
+            AlternatingDecomposition(())
+
     def test_alternation_enforced(self):
         with pytest.raises(InvariantViolationError):
             AlternatingDecomposition((("M", frozenset({1, 2})), ("M", frozenset({3, 4}))))

@@ -65,6 +65,24 @@ class TestGraphFormat:
             parse_graph("graph g\nwibble x\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("graph\n", 1),
+            ("graph g h\n", 1),
+            ("graph g\nvertex a\ngraph h\n", 3),
+            ("graph g\nvertex\n", 2),
+            ("graph g\nvertex a b\n", 2),
+            ("graph g\nvertex a\nedge e a\n", 3),
+            ("graph g\nvertex a\nedge e a a a\n", 3),
+            ("vertex a\n", None),  # no graph line at all
+        ],
+    )
+    def test_malformed_line_reports_it(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line == line
+
     def test_round_trip(self):
         g = Graph({"a", "b", "c"}, [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
         _, parsed = parse_graph(render_graph("g", g))
@@ -129,13 +147,13 @@ class TestIdToken:
 class TestRenderGraphOutput:
     def test_nested_and_mixed_type_ids(self):
         graph = Graph(
-            {"a", 1, "1", ("dom", "p"), ("cod", 2)},
+            {"a", 1, "b", ("dom", "p"), ("cod", 2)},
             [
                 ((("x", 1), ("1", ("y", 2.5))), "a", 1),
-                (("x", None), 1, "1"),
+                (("x", None), 1, "b"),
                 (3, ("dom", "p"), ("cod", 2)),
                 ("3", ("cod", 2), "a"),
-                ((1,), "1", "1"),
+                ((1,), "b", "b"),
                 ("1", "a", "a"),
                 ((), "a", 1),
             ],
@@ -144,15 +162,24 @@ class TestRenderGraphOutput:
         assert text == _reference_render_graph("mixed", graph)
         assert text == (
             "graph mixed\n"
-            "vertex 1\nvertex 1\nvertex a\nvertex cod:2\nvertex dom:p\n"
+            "vertex 1\nvertex a\nvertex b\nvertex cod:2\nvertex dom:p\n"
             "edge  a 1\n"
-            "edge 1 1 1\n"
+            "edge 1 b b\n"
             "edge 1 a a\n"
             "edge 3 dom:p cod:2\n"
             "edge 3 cod:2 a\n"
             "edge x.1.1.y.2.5 a 1\n"
-            "edge x.None 1 1\n"
+            "edge x.None 1 b\n"
         )
+
+    def test_vertices_that_print_alike_are_rejected(self):
+        # written as two "vertex 1" lines, they would read back as one
+        graph = Graph({1, "1", "a"}, [("e", 1, "1")])
+        with pytest.raises(GraphError, match=r"vertices \[1, '1'\] would all be written 1$"):
+            render_graph("g", graph)
+        bg = BimodularGraph(graph, groups={1: cyclic_group(2)})
+        with pytest.raises(GraphError, match=r"vertices \[1, '1'\] would all be written 1$"):
+            render_bimodular("b", bg)
 
     def test_executed_diamond_chain_is_unchanged(self):
         # width 2, k = 9: 1,024 paths whose flat ids are ten plain strings;
@@ -203,6 +230,12 @@ class TestProjectFormat:
         with pytest.raises(ParseError) as err:
             parse_project(f"graph g\nvertex a\nwager {wager}\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("wagers", ["wager", "wager 1 2", "wager 1\nwager 1"])
+    def test_malformed_wager_reports_line(self, wagers):
+        with pytest.raises(ParseError) as err:
+            parse_project(f"graph g\nvertex a\n{wagers}\n")
+        assert err.value.line == 3 + wagers.count("\n")
 
     def test_round_trip(self):
         project = Project(ExtNat(5), Graph({"a"}, [("e", "a", "a")]))
@@ -276,6 +309,24 @@ class TestCobordismFormat:
     def test_repeated_label_on_one_side_reports_line(self, boundary, line, message):
         with pytest.raises(ParseError, match=message) as err:
             parse_cobordism(f"cob c\n{boundary}pair a b\n")
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("cob\n", 1),
+            ("cob c d\n", 1),
+            ("cob c\nleft a\nright b\npair a R:z\n", 4),
+            ("cob c\nleft a\nright b\npair a z\n", 4),
+            ("cob c\nleft a\nright b\npair a\n", 4),
+            ("cob c\nleft a\nright b\npair a b c\n", 4),
+            ("cob c\nleft a\nright b\nwibble\npair a b\n", 4),
+            ("left a\nright b\npair a b\n", None),  # no cob line at all
+        ],
+    )
+    def test_malformed_line_reports_it(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_cobordism(text)
         assert err.value.line == line
 
     def test_labels_may_spread_over_several_lines(self):
@@ -365,6 +416,24 @@ class TestBimodularFormat:
             parse_bimodular(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ("group v", "expects <vertex> <descriptor>"),
+            ("group z cyclic:2", "unknown vertex 'z'"),
+            ("group v table", "one row-list argument"),
+            ("group v table e,a;a,e e", "one row-list argument"),
+            ("group v table e,a", "must be square"),
+            ("group v table e,a;a", "must be square"),
+            ("group v table e,a;a,a", "not a group"),
+            ("group v klein", "cyclic:<k> or table <rows>"),
+        ],
+    )
+    def test_bad_group_line_reports_it(self, group, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_bimodular(f"graph b\nvertex v\n{group}\n")
+        assert err.value.line == 3
+
     def test_group_line_may_follow_the_action_line(self):
         text = (
             "graph b\nvertex v\nvertex m\nedge e1 v m\nedge e2 v m\n"
@@ -381,8 +450,13 @@ class TestBimodularFormat:
             "raction v m 1 e1 e1",  # not a permutation
             "raction v m 1 e1 e3",  # not the edges from v to m
             "raction v m 0 e2 e1",  # the identity must act trivially
+            "raction v m",  # no element and no images
+            "raction m v 1 e1 e2",  # no edges from m to v
         ],
-        ids=["foreign-element", "trivial-group", "repeated-image", "foreign-image", "identity"],
+        ids=[
+            "foreign-element", "trivial-group", "repeated-image", "foreign-image", "identity",
+            "too-few-arguments", "no-edges",
+        ],
     )
     def test_action_error_decided_by_one_line_reports_it(self, action):
         text = (
@@ -473,6 +547,12 @@ class TestDot:
         dot = to_dot("g", g)
         assert '"a" -> "b"' in dot
         assert "dir=both" not in dot
+
+    def test_vertices_that_print_alike_are_rejected(self):
+        # as DOT nodes both would be "1", one node with a self-loop
+        graph = Graph({1, "1", ("dom", "p"), "dom:p"}, [("e", 1, "1")])
+        with pytest.raises(GraphError, match=r"vertices \[1, '1'\] would all be written 1$"):
+            to_dot("g", graph)
 
     def test_quotes_and_backslashes_are_escaped(self):
         v, w = 'a"b', "c\\"

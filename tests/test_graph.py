@@ -45,6 +45,10 @@ class TestGraphConstruction:
         with pytest.raises(UnknownVertexError):
             g({"a"}, [("e", "a", "b")])
 
+    def test_unknown_source_vertex_rejected(self):
+        with pytest.raises(UnknownVertexError, match="unknown source vertex 'z'"):
+            g({"a"}, [("e", "z", "a")])
+
     def test_duplicate_edge_id_rejected(self):
         with pytest.raises(DuplicateEdgeIdError):
             g({"a", "b"}, [("e", "a", "b"), ("e", "b", "a")])
@@ -331,6 +335,11 @@ class TestPrimeCycles:
         assert str(err.value) == (
             "infinite prime cycle set (edge 2 re-enters its component via 1, '1')"
         )
+
+    def test_unknown_mode_rejected(self):
+        G = g({"a", "b"}, [("e", "a", "b")])
+        with pytest.raises(ValueError, match="unknown cycle mode 'bogus'"):
+            prime_cycles(G, G, "bogus")
 
     def test_disjoint_graphs_have_no_cycles(self):
         G = g({"a", "b"}, [("e", "a", "b")])

@@ -48,6 +48,11 @@ class TestIntCompose:
         with pytest.raises(InterfaceMismatchError):
             int_compose(f, g)
 
+    def test_morphism_graph_on_other_vertices_rejected(self):
+        graph = Graph({dom_vertex("a"), cod_vertex("c")}, [])
+        with pytest.raises(InterfaceMismatchError, match="tagged domain and codomain"):
+            IntMorphism(frozenset({"a"}), frozenset({"b"}), graph)
+
     def test_interface_mismatch_tells_1_from_str_1(self):
         with pytest.raises(InterfaceMismatchError) as err:
             int_compose(int_identity({1}), int_identity({"1"}))
