@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 from .graph import (
     DIRECTED,
@@ -49,18 +49,19 @@ def execute(g: Graph, h: Graph) -> Graph:
     injective on each operand's own ids, so that every path's flattened id
     is unique.  It is not checked up front; a pair that shares ids but
     still gives distinct flat ids (e: a -> m in g, e: m -> b in h) executes
-    normally.  When two paths do get the same flat id, the shared ids are
-    named in a PreconditionViolationError.  Ids of one graph that flatten
-    alike, such as ``x`` and ``("x",)``, share no id with the other operand
-    and raise the plain DuplicateEdgeIdError, naming the first flat id that
-    repeats in that order.
+    normally.  When two paths do get the same flat id, the first flat id
+    that repeats, in that order, decides the error.  The shared ids inside
+    it are named in a PreconditionViolationError; shared ids elsewhere are
+    not.  When it holds no shared id, as when ids of one graph flatten
+    alike, such as ``x`` and ``("x",)``, the plain DuplicateEdgeIdError
+    names that flat id.
 
     Raises InfinitePathSetError when the path set is infinite.
     """
     return _executed_graph(g, h, alternating_paths(g, h))
 
 
-def _executed_graph(g: Graph, h: Graph, paths: Iterable[Path]) -> Graph:
+def _executed_graph(g: Graph, h: Graph, paths: Sequence[Path]) -> Graph:
     """The graph on the vertices of g or h alone, with one edge per path
     named by its flat id; two paths with one flat id raise as `execute`
     says."""
@@ -69,7 +70,12 @@ def _executed_graph(g: Graph, h: Graph, paths: Iterable[Path]) -> Graph:
             g.vertices ^ h.vertices, [(p.flat_id, p.source, p.target) for p in paths]
         )
     except DuplicateEdgeIdError as exc:
-        shared = _base_ids(g) & _base_ids(h)
+        seen = set()
+        for path in paths:  # stops at the path that Graph rejected
+            if path.flat_id in seen:
+                break
+            seen.add(path.flat_id)
+        shared = set(path.flat_id) & _base_ids(g) & _base_ids(h)
         if not shared:
             raise
         raise PreconditionViolationError(

@@ -10,6 +10,7 @@ the interaction.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -69,6 +70,20 @@ class IntMorphism:
                 "morphism graph must live exactly on the tagged domain and codomain"
             )
 
+    # The two views are built on first use and kept, as Path.flat_id is;
+    # they are not fields, so ==, hash and repr ignore them.
+    @functools.cached_property
+    def _cod_in_mid(self) -> Graph:
+        """The graph with the codomain renamed into the middle namespace:
+        this morphism's side when it is composed on the left."""
+        return self.graph.relabel_vertices({cod_vertex(b): (_MID, b) for b in self.cod})
+
+    @functools.cached_property
+    def _dom_in_mid(self) -> Graph:
+        """The graph with the domain renamed into the middle namespace:
+        this morphism's side when it is composed on the right."""
+        return self.graph.relabel_vertices({dom_vertex(a): (_MID, a) for a in self.dom})
+
 
 def int_identity(points: Iterable[Any]) -> IntMorphism:
     """The identity morphism: two opposite arcs over each point."""
@@ -82,16 +97,20 @@ def int_identity(points: Iterable[Any]) -> IntMorphism:
 
 
 def _interface_rename(f: IntMorphism, g: IntMorphism) -> tuple[Graph, Graph]:
-    """Send f's codomain and g's domain copies of the shared interface to a
-    common namespace, leaving outer boundaries tagged dom/cod."""
+    """f's graph with its codomain, and g's with its domain, renamed into one
+    middle namespace, outer boundaries still tagged dom/cod.
+
+    Each morphism renames each side once and keeps the result, so
+    `int_compose` and `interface_measure` on one pair share the two
+    renamed graphs.  Raises InterfaceMismatchError when f's codomain is
+    not g's domain.
+    """
     if f.cod != g.dom:
         raise InterfaceMismatchError(
             f"codomain {show_items(f.cod)} does not match "
             f"domain {show_items(g.dom)}"
         )
-    left = f.graph.relabel_vertices({cod_vertex(b): (_MID, b) for b in f.cod})
-    right = g.graph.relabel_vertices({dom_vertex(b): (_MID, b) for b in g.dom})
-    return left, right
+    return f._cod_in_mid, g._dom_in_mid
 
 
 def int_compose(f: IntMorphism, g: IntMorphism) -> IntMorphism:

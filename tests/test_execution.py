@@ -66,6 +66,22 @@ class TestExecute:
         with pytest.raises(PreconditionViolationError, match="disjoint edge ids.*'e'"):
             execute(G, H)
 
+    def test_only_shared_ids_in_the_repeated_flat_id_are_named(self):
+        # z is in both graphs too, but its pair executes to z.z: x -> y
+        G = g({"a", "b", "x", "m"}, [("e", "a", "b"), ("z", "x", "m")])
+        H = g({"c", "d", "m", "y"}, [("e", "c", "d"), ("z", "m", "y")])
+        with pytest.raises(PreconditionViolationError) as err:
+            execute(G, H)
+        assert str(err.value) == "execute needs disjoint edge ids, but both graphs use ['e']"
+
+    def test_repeat_of_one_graph_beside_a_shared_id_stays_a_duplicate(self):
+        # only ("x",) repeats; the shared z lies on another path
+        G = g({"a", "b", "p", "m"}, [("x", "a", "b"), (("x",), "a", "b"), ("z", "p", "m")])
+        H = g({"m", "q"}, [("z", "m", "q")])
+        with pytest.raises(DuplicateEdgeIdError) as err:
+            execute(G, H)
+        assert str(err.value) == "duplicate edge id ('x',)"
+
     def test_shared_id_on_distinct_paths_still_executes(self):
         G = g({"a", "m"}, [("e", "a", "m")])
         H = g({"m", "b"}, [("e", "m", "b")])

@@ -5,9 +5,11 @@ import pytest
 from intgraphs.execution import graphs_equal_flattened
 from intgraphs.graph import DIRECTED, OMEGA, ExtNat, Graph
 from intgraphs.interaction import (
+    _MID,
     IntMorphism,
     InterfaceMismatchError,
     Project,
+    _interface_rename,
     cod_vertex,
     dom_vertex,
     endpoint_form,
@@ -197,3 +199,78 @@ class TestInterfaceMeasure:
         )
         assert interface_measure(cap, cup, DIRECTED) == ExtNat(2)
         assert interface_measure(cap, cup, "unoriented") == ExtNat(1)
+
+    def test_interface_mismatch_rejected_like_int_compose(self):
+        f, g = int_identity({1}), int_identity({"1"})
+        with pytest.raises(InterfaceMismatchError) as composed:
+            int_compose(f, g)
+        for mode in (DIRECTED, "unoriented"):
+            with pytest.raises(InterfaceMismatchError) as measured:
+                interface_measure(f, g, mode)
+            assert str(measured.value) == str(composed.value)
+
+
+def _fresh(m: IntMorphism) -> IntMorphism:
+    """An equal morphism whose interface views are not built yet."""
+    return IntMorphism(m.dom, m.cod, m.graph)
+
+
+def _edge_list(m: IntMorphism) -> list:
+    return [(e.id, e.src, e.tgt) for e in m.graph.edges]
+
+
+# a morphism {a, b} -> {a, b}: composable with itself, on either side
+LOOP = morphism(
+    {"a", "b"},
+    {"a", "b"},
+    [
+        ("e1", dom_vertex("a"), cod_vertex("b")),
+        ("e2", cod_vertex("b"), cod_vertex("a")),
+        ("e3", cod_vertex("a"), dom_vertex("b")),
+        ("e4", dom_vertex("b"), cod_vertex("b")),
+    ],
+)
+
+
+class TestInterfaceViews:
+    def test_repeated_renames_return_the_same_graphs(self):
+        f = _fresh(LOOP)
+        g = int_identity({"a", "b"})
+        left, right = _interface_rename(f, g)
+        again_left, again_right = _interface_rename(f, g)
+        assert again_left is left
+        assert again_right is right
+
+    def test_views_equal_a_fresh_relabelling(self):
+        f = _fresh(LOOP)
+        left, right = _interface_rename(f, f)
+        left_ref = LOOP.graph.relabel_vertices({cod_vertex(b): (_MID, b) for b in LOOP.cod})
+        right_ref = LOOP.graph.relabel_vertices({dom_vertex(a): (_MID, a) for a in LOOP.dom})
+        assert (left.vertices, left.edges) == (left_ref.vertices, left_ref.edges)
+        assert (right.vertices, right.edges) == (right_ref.vertices, right_ref.edges)
+
+    def test_self_composition_matches_fresh_copies(self):
+        f = _fresh(LOOP)
+        expected = int_compose(_fresh(LOOP), _fresh(LOOP))
+        for _ in range(2):
+            assert _edge_list(int_compose(f, f)) == _edge_list(expected)
+            assert interface_measure(f, f) == interface_measure(_fresh(LOOP), _fresh(LOOP))
+
+    def test_morphism_on_both_sides_matches_fresh_copies(self):
+        f = morphism({"a"}, {"a", "b"}, [("f1", dom_vertex("a"), cod_vertex("a"))])
+        h = morphism({"a", "b"}, {"c"}, [("h1", dom_vertex("b"), cod_vertex("c"))])
+        g = _fresh(LOOP)
+        left_of_h = int_compose(g, h)
+        right_of_f = int_compose(f, g)
+        assert _edge_list(left_of_h) == _edge_list(int_compose(_fresh(LOOP), _fresh(h)))
+        assert _edge_list(right_of_f) == _edge_list(int_compose(_fresh(f), _fresh(LOOP)))
+        assert left_of_h.graph.edges and right_of_f.graph.edges
+
+    def test_filled_views_leave_equality_hash_and_repr_alone(self):
+        f = _fresh(LOOP)
+        before = (hash(f), repr(f))
+        int_compose(f, f)
+        assert {"_cod_in_mid", "_dom_in_mid"} <= set(vars(f))
+        assert f == _fresh(LOOP)
+        assert (hash(f), repr(f)) == before
+        assert (hash(f), repr(f)) == (hash(_fresh(LOOP)), repr(_fresh(LOOP)))
