@@ -43,11 +43,15 @@ or `cob` line, a boundary point left unpaired, and an action that breaks
 the homomorphism law or does not commute with the other side involve
 several lines or none, and carry no line.
 
-Every id written by the renderers is a whitespace-free token; composite
-edge ids (flattened path sequences) are dot-joined for display.  DOT
-output escapes ``\\`` and ``"`` in every quoted string.  Vertices that
-print alike, such as ``1`` and ``"1"``, cannot be written apart, and
-rendering them raises a GraphError.
+The renderers write each id as one token; composite edge ids (flattened
+path sequences) are dot-joined for display.  DOT output escapes ``\\``
+and ``"`` in every quoted string.  Vertices, or edges, that print alike,
+such as ``1`` and ``"1"``, cannot be written apart, and rendering them
+raises a GraphError.  So does a vertex token, or a group element name,
+that the parser would split or cut: an empty one, or one holding
+whitespace or ``#``, or for an element ``,`` or ``;``.  Edge tokens are
+not scanned for these characters, since that would cost a pass over
+every character of every edge token.
 """
 
 from __future__ import annotations
@@ -145,17 +149,37 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
     return name, Graph(vertices, edges), extra
 
 
+def _unreadable(token: str) -> bool:
+    """Whether the parser would not read ``token`` back as one word: it is
+    empty, or whitespace or ``#`` would split or cut it."""
+    return "#" in token or token.split() != [token]
+
+
 def _vertex_tokens(graph: Graph) -> dict:
     """Each vertex's token, computed once for every line that names it.
     Vertices that print alike (``1``, ``"1"``) would be written as one, so
-    those of the least shared token raise a GraphError."""
+    those of the least shared token raise a GraphError, as do vertices
+    whose token would not read back as one word."""
     tokens = {v: vertex_token(v) for v in graph.vertices}
     if len(set(tokens.values())) < len(tokens):
         counts = Counter(tokens.values())
         token = min(t for t, n in counts.items() if n > 1)
         alike = [v for v, t in tokens.items() if t == token]
         raise GraphError(f"vertices {show_items(alike)} would all be written {token}")
+    unreadable = [v for v, t in tokens.items() if _unreadable(t)]
+    if unreadable:
+        raise GraphError(
+            f"vertices {show_items(unreadable)} would not read back: a token "
+            "must be nonempty, with no whitespace or '#'"
+        )
     return tokens
+
+
+def _alike_edges(edges, tokens: list[str], token: str) -> GraphError:
+    """The error for edges whose ids print alike (``1``, ``"1"``): written
+    as one token, they would not read back apart."""
+    alike = [e.id for e, t in zip(edges, tokens) if t == token]
+    return GraphError(f"edges {show_items(alike)} would all be written {token}")
 
 
 def render_graph(name: str, graph: Graph) -> str:
@@ -168,12 +192,18 @@ def _graph_lines(name: str, graph: Graph) -> tuple[list[str], dict]:
     """The lines of `render_graph`, and the vertex token table they use."""
     vtokens = _vertex_tokens(graph)
     lines = [f"graph {name}"] + [f"vertex {t}" for t in sorted(vtokens.values())]
-    # one token per edge, both for the order and for the line
+    # one token per edge, both for the order and for the line; in that
+    # order, ids that print alike are neighbours
     edges = graph.edges
     etokens = [id_token(e.id) for e in edges]
+    previous = None
     for i in sorted(range(len(edges)), key=etokens.__getitem__):
         e = edges[i]
-        lines.append(f"edge {etokens[i]} {vtokens[e.src]} {vtokens[e.tgt]}")
+        token = etokens[i]
+        if token == previous:
+            raise _alike_edges(edges, etokens, token)
+        previous = token
+        lines.append(f"edge {token} {vtokens[e.src]} {vtokens[e.tgt]}")
     return lines, vtokens
 
 
@@ -381,6 +411,14 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
         grp = bg.groups[v]
         if grp.is_trivial():
             continue
+        # a table splits on "," and ";", and action lines name elements too
+        unreadable = [a for a in grp.elements if "," in a or ";" in a or _unreadable(a)]
+        if unreadable:
+            raise GraphError(
+                f"group elements {show_items(unreadable)} at vertex {vtokens[v]} "
+                "would not read back: a name must be nonempty, with no "
+                "whitespace, ',', ';' or '#'"
+            )
         if grp == cyclic_group(grp.order):
             out.append(f"group {vtokens[v]} cyclic:{grp.order}")
         else:
@@ -414,6 +452,11 @@ def to_dot(name: str, graph: Graph) -> str:
     vtokens = _vertex_tokens(graph)
     lines += [f"  {_dot_string(t)};" for t in sorted(vtokens.values())]
     remaining = sorted(graph.edges, key=lambda e: id_token(e.id))
+    # in token order, ids that print alike are neighbours
+    etokens = [id_token(e.id) for e in remaining]
+    for token, following in zip(etokens, etokens[1:]):
+        if token == following:
+            raise _alike_edges(remaining, etokens, token)
     used: set = set()
     by_endpoints: dict = {}
     for e in remaining:

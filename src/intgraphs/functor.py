@@ -57,7 +57,14 @@ def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
     Each matched pair {x, y} yields the two directed edges x -> y and
     y -> x; segments never produce self-loops because their endpoints are
     distinct points.  Circles are invisible here.
+
+    The image is built once per morphism and kept on it, so a morphism
+    met in many functoriality checks keeps one image, and with it the
+    image's renamed interface views.
     """
+    image = getattr(m, "_fundamental_graph", None)
+    if image is not None:
+        return image
     vertices = {dom_vertex(a) for a in m.source} | {cod_vertex(b) for b in m.target}
     # each point keyed once, for the sort within its pair and of the pairs
     ends = []
@@ -70,7 +77,11 @@ def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
         u, v = _boundary_vertex(x), _boundary_vertex(y)
         edges.append(Edge(SegmentEdgeId(u, v), u, v))
         edges.append(Edge(SegmentEdgeId(v, u), v, u))
-    return IntMorphism(m.source, m.target, Graph(vertices, edges))
+    image = IntMorphism(m.source, m.target, Graph(vertices, edges))
+    # Not a field, as with Cob0Morphism._mates: ==, hash, repr and
+    # dataclasses.replace see only the matching and the circle count.
+    object.__setattr__(m, "_fundamental_graph", image)
+    return image
 
 
 def functor_bar(m: Cob0Morphism) -> Project:

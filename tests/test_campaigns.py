@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from intgraphs import campaigns, functor
+from intgraphs import campaigns, execution, functor
 from intgraphs.campaigns import (
     _render_triple,
     campaign_associativity,
@@ -18,6 +18,7 @@ from intgraphs.cli import main
 from intgraphs.cob0 import cob0_enumerate, cob0_identity
 from intgraphs.formats import parse_cobordism, parse_graph
 from intgraphs.functor import check_functoriality
+from intgraphs.graph import DIRECTED
 
 
 def split_blocks(text: str, keyword: str = "graph") -> list[str]:
@@ -296,6 +297,41 @@ def test_functor_failure_replays(monkeypatch, capsys):
     assert main(["check", "functor", "--exhaustive-bound", "1"]) == 1
     out = capsys.readouterr().out
     assert "functor: FAIL" in out and result.counterexample in out
+
+
+def test_trefoil_failure_replays(monkeypatch, capsys):
+    real_check, real_cycles = campaigns.check_trefoil, execution.prime_cycles
+    g_and_h = [None, None]
+
+    def recording_check(f, g, h, mode):
+        g_and_h[:] = [g, h]
+        return real_check(f, g, h, mode)
+
+    def one_cycle_too_many_in_g_h(a, b, mode):
+        # C(G, H) gains a cycle, so the left side exceeds the right by one
+        cycles = real_cycles(a, b, mode)
+        if a is g_and_h[0] and b is g_and_h[1]:
+            return cycles + [None]
+        return cycles
+
+    monkeypatch.setattr(campaigns, "check_trefoil", recording_check)
+    monkeypatch.setattr(execution, "prime_cycles", one_cycle_too_many_in_g_h)
+    result = campaigns.campaign_trefoil(40, 5, max_vertices=5, max_edges=6)
+    assert result.verdict == "FAIL"
+    # every finite trial fails: the unpatched campaign passes 29, skips 11
+    assert (result.passed, result.failed, result.skipped) == (0, 29, 11)
+    f, g, h = (parse_graph(b)[1] for b in split_blocks(result.counterexample))
+    report = recording_check(f, g, h, DIRECTED)
+    assert not report.passed
+    assert report.details["lhs"] == report.details["rhs"] + 1
+
+    args = ["--trials", "40", "--seed", "5", "--max-vertices", "5", "--max-edges", "6"]
+    assert main(["check", "trefoil", *args]) == 1
+    out = capsys.readouterr().out
+    assert "trefoil: FAIL" in out and result.counterexample in out
+
+    monkeypatch.undo()
+    assert real_check(f, g, h, DIRECTED).passed
 
 
 def test_functor_verdict_requires_directed_twice_unoriented(monkeypatch):

@@ -152,9 +152,9 @@ class TestRenderGraphOutput:
                 ((("x", 1), ("1", ("y", 2.5))), "a", 1),
                 (("x", None), 1, "b"),
                 (3, ("dom", "p"), ("cod", 2)),
-                ("3", ("cod", 2), "a"),
+                ("2", ("cod", 2), "a"),
                 ((1,), "b", "b"),
-                ("1", "a", "a"),
+                ("10", "a", "a"),
                 ((), "a", 1),
             ],
         )
@@ -165,12 +165,35 @@ class TestRenderGraphOutput:
             "vertex 1\nvertex a\nvertex b\nvertex cod:2\nvertex dom:p\n"
             "edge  a 1\n"
             "edge 1 b b\n"
-            "edge 1 a a\n"
+            "edge 10 a a\n"
+            "edge 2 cod:2 a\n"
             "edge 3 dom:p cod:2\n"
-            "edge 3 cod:2 a\n"
             "edge x.1.1.y.2.5 a 1\n"
             "edge x.None 1 b\n"
         )
+
+    def test_edges_that_print_alike_are_rejected(self):
+        # written as two "edge 1 a a" lines, they would not parse back
+        graph = Graph({"a"}, [(1, "a", "a"), ("1", "a", "a")])
+        for render in (render_graph, to_dot):
+            with pytest.raises(GraphError, match=r"edges \[1, '1'\] would all be written 1$"):
+                render("g", graph)
+        bg = BimodularGraph(graph, groups={"a": cyclic_group(2)})
+        with pytest.raises(GraphError, match=r"edges \[1, '1'\] would all be written 1$"):
+            render_bimodular("b", bg)
+        # of two tokens shared, the least is named, whatever the edge order
+        edges = [((1,), "a", "a"), ("3", "a", "a"), (3, "a", "a"), ("1", "a", "a")]
+        for order in (edges, edges[::-1]):
+            with pytest.raises(GraphError, match=r"edges \[\(1,\), '1'\] would all be written 1$"):
+                render_graph("g", Graph({"a"}, order))
+
+    @pytest.mark.parametrize("vertex", ["a#b", "a b", " a", "a\t", "", "a\u2028b", "#"])
+    def test_vertices_the_parser_would_split_are_rejected(self, vertex):
+        # "vertex a#b" would read back as vertex a
+        graph = Graph({vertex, "c"}, [("e", "c", vertex)])
+        for render in (render_graph, to_dot):
+            with pytest.raises(GraphError, match="would not read back"):
+                render("g", graph)
 
     def test_vertices_that_print_alike_are_rejected(self):
         # written as two "vertex 1" lines, they would read back as one
@@ -362,6 +385,16 @@ class TestBimodularFormat:
         )
         _, bg = parse_bimodular(text)
         assert bg.groups["v"].order == 2
+
+    @pytest.mark.parametrize("name", ["a b", "a,b", "a;b", "a#b", "", "a\nb"])
+    def test_element_names_the_parser_would_split_are_rejected(self, name):
+        # "group m table e,a b;a b,e" would not parse
+        grp = FiniteGroup("t", ["e", name], {
+            ("e", "e"): "e", ("e", name): name, (name, "e"): name, (name, name): "e",
+        })
+        bg = BimodularGraph(Graph({"v", "m"}, [("e1", "v", "m")]), {"m": grp})
+        with pytest.raises(GraphError, match=r"group elements \[.*\] at vertex m would not read back"):
+            render_bimodular("b", bg)
 
     def test_klein_table_round_trip(self):
         graph = Graph({"v", "m"}, [(f"e{i}", "v", "m") for i in range(1, 5)])

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+from collections import Counter
+
 from intgraphs.cob0 import (
+    SRC,
     Cob0Morphism,
     cob0_compose,
     cob0_enumerate,
@@ -62,6 +67,58 @@ class TestFundamentalGraph:
             assert all(e.src != e.tgt for e in g.edges)
             for v in g.vertices:
                 assert sum(1 for e in g.edges if e.src == v) == 1
+
+
+def _expected_endpoints(m: Cob0Morphism) -> Counter:
+    """Both traversals of each segment, read straight off the pairs."""
+    out: Counter = Counter()
+    for pair in m.pairs:
+        x, y = (dom_vertex(p[1]) if p[0] == SRC else cod_vertex(p[1]) for p in pair)
+        out[(x, y)] += 1
+        out[(y, x)] += 1
+    return out
+
+
+class TestImageMemo:
+    """fundamental_graph builds a morphism's image once and keeps it."""
+
+    def test_repeated_calls_return_the_same_image(self):
+        m = three_strand_cobordism(1)
+        image = fundamental_graph(m)
+        assert fundamental_graph(m) is image
+
+    def test_each_morphism_keeps_its_own_image(self):
+        objects = [frozenset(f"p{i}" for i in range(k)) for k in range(4)]
+        for a, b in itertools.product(objects, repeat=2):
+            for m in cob0_enumerate(a, b, 2):
+                image = fundamental_graph(m)
+                assert fundamental_graph(m) is image
+                fresh = Cob0Morphism(m.source, m.target, m.pairs, m.circles)
+                assert fundamental_graph(fresh) == image
+                # morphisms of one hom-set do not share an image
+                endpoints = Counter((e.src, e.tgt) for e in image.graph.edges)
+                assert endpoints == _expected_endpoints(m)
+
+    def test_equality_hash_and_repr_ignore_the_image(self):
+        m = three_strand_cobordism(2)
+        before = (hash(m), repr(m))
+        fundamental_graph(m)
+        twin = three_strand_cobordism(2)
+        assert m == twin
+        assert (hash(m), repr(m)) == before == (hash(twin), repr(twin))
+        assert [f.name for f in dataclasses.fields(m)] == ["source", "target", "pairs", "circles"]
+
+    def test_replace_builds_a_new_image(self):
+        m = cob0_morphism({"a1", "a2"}, {"b1", "b2"}, [(sp("a1"), tp("b1")), (sp("a2"), tp("b2"))])
+        image = fundamental_graph(m)
+        crossed = dataclasses.replace(
+            m, pairs=frozenset({frozenset({sp("a1"), tp("b2")}), frozenset({sp("a2"), tp("b1")})})
+        )
+        assert fundamental_graph(crossed) != image
+        assert fundamental_graph(crossed) == fundamental_graph(
+            Cob0Morphism(crossed.source, crossed.target, crossed.pairs)
+        )
+        assert fundamental_graph(m) is image
 
 
 class TestFunctorBar:

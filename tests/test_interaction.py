@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from intgraphs.execution import graphs_equal_flattened
-from intgraphs.graph import DIRECTED, OMEGA, ExtNat, Graph
+from intgraphs.graph import DIRECTED, OMEGA, UNORIENTED, ExtNat, Graph
 from intgraphs.interaction import (
     _MID,
     IntMorphism,
@@ -141,6 +141,13 @@ class TestProjects:
         result = project_execute(p, q, DIRECTED)
         assert result.wager == ExtNat(4)
         assert result.graph.vertices == frozenset()
+
+    def test_wager_counts_cycles_in_the_mode_asked(self):
+        # two opposite 2-cycles: two directed classes, one unoriented
+        p = Project(ExtNat(1), Graph({"a", "b"}, [("e", "a", "b"), ("e2", "b", "a")]))
+        q = Project(ExtNat(2), Graph({"a", "b"}, [("f", "b", "a"), ("f2", "a", "b")]))
+        assert project_execute(p, q, DIRECTED).wager == ExtNat(5)
+        assert project_execute(p, q, UNORIENTED).wager == ExtNat(4)
 
     def test_infinite_cycle_set_gives_omega_wager(self):
         p = Project(ExtNat(0), Graph({"a", "b"}, [("e", "a", "b")]))
