@@ -47,11 +47,10 @@ The renderers write each id as one token; composite edge ids (flattened
 path sequences) are dot-joined for display.  DOT output escapes ``\\``
 and ``"`` in every quoted string.  Vertices, or edges, that print alike,
 such as ``1`` and ``"1"``, cannot be written apart, and rendering them
-raises a GraphError.  So does a vertex token, or a group element name,
-that the parser would split or cut: an empty one, or one holding
-whitespace or ``#``, or for an element ``,`` or ``;``.  Edge tokens are
-not scanned for these characters, since that would cost a pass over
-every character of every edge token.
+raises a GraphError.  So does a vertex token, an edge token outside
+DOT (which quotes its labels), or a group element name, that the parser
+would split or cut: an empty one, or one holding whitespace or ``#``,
+or for an element ``,`` or ``;``.
 """
 
 from __future__ import annotations
@@ -196,6 +195,15 @@ def _graph_lines(name: str, graph: Graph) -> tuple[list[str], dict]:
     # order, ids that print alike are neighbours
     edges = graph.edges
     etokens = [id_token(e.id) for e in edges]
+    # all tokens checked at once at C level; read one by one only to name
+    # the edges that fail
+    joined = "".join(etokens)
+    if edges and (not all(etokens) or "#" in joined or joined.split() != [joined]):
+        unreadable = [e.id for e, t in zip(edges, etokens) if _unreadable(t)]
+        raise GraphError(
+            f"edges {show_items(unreadable)} would not read back: a token "
+            "must be nonempty, with no whitespace or '#'"
+        )
     previous = None
     for i in sorted(range(len(edges)), key=etokens.__getitem__):
         e = edges[i]

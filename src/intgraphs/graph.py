@@ -276,14 +276,30 @@ def show_items(items: Iterable) -> str:
     return "[" + ", ".join(map(repr, sorted(items, key=_order_key))) + "]"
 
 
+def _check_junction(a: tuple[int, Edge], b: tuple[int, Edge]) -> None:
+    """The chain rule for one junction, a step ``a`` followed by a step
+    ``b``: a's target meets b's source, being equal to it or the same
+    object, as `derived_graph`'s dict lookup joins them (a shared NaN
+    vertex meets), and the sides differ.  Raises InvariantViolationError
+    otherwise."""
+    sa, ea = a
+    sb, eb = b
+    if ea.tgt != eb.src and ea.tgt is not eb.src:
+        raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not compose")
+    if sa == sb:
+        raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not alternate")
+
+
 @dataclass(frozen=True)
 class Path:
     """An alternating path: edges tagged 0/1 by owning graph.
 
-    Consecutive steps must compose (target meets source) and alternate
-    sides; both are checked on construction (InvariantViolationError).
-    A target meets a source when they are equal or the same object, as
-    `derived_graph`'s dict lookup joins them (a shared NaN vertex meets).
+    Every junction, a step and the step after it, must compose and
+    alternate (`_check_junction`).  ``Path(steps)`` checks them all on
+    construction (InvariantViolationError).  The paths of
+    `alternating_paths` are built by `_checked`, which checks nothing:
+    its walk checks each junction once, when it extends a prefix, so
+    every junction of an emitted path was checked as its prefix grew.
     """
 
     steps: tuple[tuple[int, Edge], ...]
@@ -291,14 +307,18 @@ class Path:
     def __post_init__(self) -> None:
         if not self.steps:
             raise InvariantViolationError("a path has at least one edge")
-        steps = iter(self.steps)
-        sa, ea = next(steps)
-        for sb, eb in steps:
-            if ea.tgt != eb.src and ea.tgt is not eb.src:
-                raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not compose")
-            if sa == sb:
-                raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not alternate")
-            sa, ea = sb, eb
+        for a, b in zip(self.steps, self.steps[1:]):
+            _check_junction(a, b)
+
+    @classmethod
+    def _checked(cls, steps: tuple[tuple[int, Edge], ...], flat_id: tuple) -> Path:
+        """A path whose junctions the caller has checked, with its flat id
+        filled in; nothing is checked or computed here."""
+        path = object.__new__(cls)
+        fields = path.__dict__
+        fields["steps"] = steps
+        fields["flat_id"] = flat_id  # fills the cached property
+        return path
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -493,16 +513,18 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     """
     dg = derived_graph(g, h)
     _, live = _live_order(dg)
-    succ, final = dg.succ, dg.is_final
+    nodes, succ, final = dg.nodes, dg.succ, dg.is_final
     # per node, once: a path's flat id is a concatenation
-    flat_ids = [flatten(edge.id) for _, edge in dg.nodes]
-    steps1 = [(node,) for node in dg.nodes]
+    flat_ids = [flatten(edge.id) for _, edge in nodes]
+    steps1 = [(node,) for node in nodes]
     # Depth-first over the live DAG from a virtual root whose children are
     # the initial nodes, in ascending order.  Successor lists ascend too,
     # and no path is a prefix of another (final nodes have no outgoing
     # arcs), so paths are emitted in node order.  prefix[d] is the walk's
     # first d nodes as (steps, flat id).  Each emitted path is recorded as
-    # (steps of its prefix, last node, flat id).
+    # (steps of its prefix, last node, flat id).  The junction that a node
+    # adds to a prefix is checked here, once; a path's other junctions are
+    # its prefix's, checked as the prefix grew.
     found: list[tuple[tuple, int, tuple]] = []
     prefix: list[tuple[tuple, tuple]] = [((), ())]
     branches: list[Iterator[int]] = [(i for i, flag in enumerate(dg.is_initial) if flag)]
@@ -511,6 +533,8 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
         for w in branches[-1]:
             if not live[w]:
                 continue
+            if steps:
+                _check_junction(steps[-1], nodes[w])
             if final[w]:
                 found.append((steps, w, flat + flat_ids[w]))
             else:
@@ -525,10 +549,9 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     # two mixed in the allocator's pools would keep freed pools from reuse.
     # Each record is replaced by its path, so records go as paths come.
     paths: list = found
+    checked = Path._checked
     for i, (steps, w, flat) in enumerate(found):
-        path = Path(steps + steps1[w])
-        object.__setattr__(path, "flat_id", flat)  # fills the cached property
-        paths[i] = path
+        paths[i] = checked(steps + steps1[w], flat)
     return paths
 
 

@@ -155,7 +155,7 @@ class TestRenderGraphOutput:
                 ("2", ("cod", 2), "a"),
                 ((1,), "b", "b"),
                 ("10", "a", "a"),
-                ((), "a", 1),
+                (((), "z"), "a", 1),
             ],
         )
         text = render_graph("mixed", graph)
@@ -163,7 +163,7 @@ class TestRenderGraphOutput:
         assert text == (
             "graph mixed\n"
             "vertex 1\nvertex a\nvertex b\nvertex cod:2\nvertex dom:p\n"
-            "edge  a 1\n"
+            "edge .z a 1\n"
             "edge 1 b b\n"
             "edge 10 a a\n"
             "edge 2 cod:2 a\n"
@@ -194,6 +194,19 @@ class TestRenderGraphOutput:
         for render in (render_graph, to_dot):
             with pytest.raises(GraphError, match="would not read back"):
                 render("g", graph)
+
+    @pytest.mark.parametrize(
+        "edge_id", ["x b a#", (), "a b", " a", "a\t", "a\u2028b", "#", ("",), ("a", "b c")]
+    )
+    def test_edges_the_parser_would_split_are_rejected(self, edge_id):
+        # "edge x b a# a b" would read back as an edge x from b to a, and
+        # "edge  a b" (the id () prints empty) would not parse at all
+        graph = Graph({"a", "b"}, [("e", "a", "b"), (edge_id, "a", "b")])
+        message = rf"^edges \[{re.escape(repr(edge_id))}\] would not read back"
+        with pytest.raises(GraphError, match=message):
+            render_graph("g", graph)
+        with pytest.raises(GraphError, match=message):
+            render_bimodular("b", BimodularGraph(graph, groups={"a": cyclic_group(2)}))
 
     def test_vertices_that_print_alike_are_rejected(self):
         # written as two "vertex 1" lines, they would read back as one

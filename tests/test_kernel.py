@@ -9,12 +9,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intgraphs import graph
 from intgraphs.campaigns import random_pair, trial_rng
+from intgraphs.execution import execute
 from intgraphs.graph import (
     DIRECTED,
+    DerivedGraph,
+    Edge,
     Graph,
     InfiniteCycleSetError,
     InfinitePathSetError,
+    InvariantViolationError,
+    Path,
     alternating_paths,
     count_paths,
     derived_graph,
@@ -108,16 +114,51 @@ def test_infinite_cycle_branches_stay_in_one_component(seed):
 def test_paths_carry_their_flat_ids_and_come_sorted(seed):
     g, h = _pair(seed, 9)
     try:
-        paths = alternating_paths(g, h)
+        _assert_paths_checked_with_flat_ids_and_sorted(g, h)
     except InfinitePathSetError:
         return
+
+
+def test_paths_through_a_shared_nan_vertex_pass_the_public_check():
+    # nan != nan: the steps meet only as the same object
+    nan = float("nan")
+    g = Graph({"a", nan}, [("e1", "a", nan), ("e2", "a", nan)])
+    h = Graph({nan, "b"}, [("f", nan, "b")])
+    assert len(_assert_paths_checked_with_flat_ids_and_sorted(g, h)) == 2
+
+
+def _assert_paths_checked_with_flat_ids_and_sorted(g: Graph, h: Graph) -> list[Path]:
+    paths = alternating_paths(g, h)
     for p in paths:
         assert p.flat_id == flatten(tuple(e.id for e in p.edges))
+        # the walk checked each junction once; the full check agrees
+        assert Path(p.steps) == p
     # node order: each path's node-number sequence exceeds the previous one's
     number = {node: i for i, node in enumerate(derived_graph(g, h).nodes)}
     keys = [[number[step] for step in p.steps] for p in paths]
     for previous, key in zip(keys, keys[1:]):
         assert previous < key
+    return paths
+
+
+@pytest.mark.parametrize(
+    "second, broken",
+    [
+        ((0, Edge("f", "b", "c")), "do not alternate"),  # composes, same side
+        ((1, Edge("f", "x", "c")), "do not compose"),  # alternates, a -> b then x -> c
+    ],
+)
+@pytest.mark.parametrize("run", [alternating_paths, execute])
+def test_the_walk_checks_the_junctions_of_its_arcs(monkeypatch, run, second, broken):
+    # a derived graph whose one live arc breaks the chain rule: the walk
+    # must refuse it, not trust the arcs
+    first = (0, Edge("e", "a", "b"))
+    bad = DerivedGraph((first, second), [[1], []], [True, False], [False, True])
+    monkeypatch.setattr(graph, "derived_graph", lambda g, h: bad)
+    g = Graph({"a", "b"}, [first[1]])
+    h = Graph({"x", "b", "c"}, [second[1]])
+    with pytest.raises(InvariantViolationError, match=f"^edges 'e', 'f' {broken}$"):
+        run(g, h)
 
 
 @given(seeds)
