@@ -43,20 +43,23 @@ or `cob` line, a boundary point left unpaired, and an action that breaks
 the homomorphism law or does not commute with the other side involve
 several lines or none, and carry no line.
 
-The renderers write each id as one token; composite edge ids (flattened
-path sequences) are dot-joined for display.  DOT output escapes ``\\``
-and ``"`` in every quoted string.  Vertices, or edges, that print alike,
-such as ``1`` and ``"1"``, cannot be written apart, and rendering them
-raises a GraphError.  So does a vertex token, an edge token outside
-DOT (which quotes its labels), or a group element name, that the parser
-would split or cut: an empty one, or one holding whitespace or ``#``,
-or for an element ``,`` or ``;``.
+The renderers write each value as one token: its ``str``, but ``dom:x``
+for a boundary vertex and a dot-joined token for a composite edge id (a
+flattened path sequence).  One rule covers every token they write:
+block names, vertices, edge ids, cobordism labels and group element
+names.  Values that print alike, such as ``1`` and ``"1"``, cannot be
+written apart, and a token that the parser would split or cut does not
+read back: an empty one, or one holding whitespace or ``#``, and for a
+group element ``,`` or ``;``.  Rendering either raises a GraphError
+naming the values.  DOT output quotes its name and edge labels, escaping
+``\\`` and ``"``, so only its vertices must read back.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any
+from itertools import islice
+from operator import eq
+from typing import Any, Callable
 
 from .bimodular import BimodularGraph, FiniteGroup, cyclic_group, trivial_group
 from .cob0 import Cob0Morphism, source_point, target_point
@@ -148,71 +151,72 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
     return name, Graph(vertices, edges), extra
 
 
-def _unreadable(token: str) -> bool:
-    """Whether the parser would not read ``token`` back as one word: it is
-    empty, or whitespace or ``#`` would split or cut it."""
-    return "#" in token or token.split() != [token]
+def _token_order(tokens: list[str], item: Callable[[int], Any], what: str,
+                 forbidden: str | None = "#", where: str = "") -> list[int]:
+    """The one rule for writing values as tokens: the indices of ``tokens``
+    in token order.  Raises a GraphError naming, by ``item(index)``, the
+    ``what`` whose token would not read back as one word: it is empty, or
+    holds whitespace or a character of ``forbidden`` (None skips this check,
+    for DOT's quoted labels).  Else it names those that would all be
+    written as the least token that two share.  Edge tokens are on the
+    rendering hot path, so both checks run over all tokens at once: a join,
+    a split and a neighbour compare at C level.  Tokens are read one by one
+    only to name the values that fail."""
+    if forbidden is not None:
+        joined = "".join(tokens)
+        if tokens and (
+            not all(tokens) or joined.split() != [joined] or any(c in joined for c in forbidden)
+        ):
+            bad = [item(i) for i, t in enumerate(tokens)
+                   if t.split() != [t] or any(c in t for c in forbidden)]
+            chars = [repr(c) for c in forbidden]
+            raise GraphError(
+                f"{what} {show_items(bad)}{where} would not read back: a token must be "
+                f"nonempty, with no {', '.join(['whitespace', *chars[:-1]])} or {chars[-1]}"
+            )
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
+    # in token order, tokens that print alike are neighbours
+    ordered = [tokens[i] for i in order]
+    if any(map(eq, ordered, islice(ordered, 1, None))):
+        shared = next(t for t, u in zip(ordered, ordered[1:]) if t == u)
+        alike = [item(i) for i in order if tokens[i] == shared]
+        raise GraphError(f"{what} {show_items(alike)}{where} would all be written {shared}")
+    return order
+
+
+def _header(keyword: str, name: Any) -> str:
+    """A block's first line, ``graph NAME`` or ``cob NAME``."""
+    _token_order([str(name)], (name,).__getitem__, f"{keyword} names")
+    return f"{keyword} {name}"
 
 
 def _vertex_tokens(graph: Graph) -> dict:
-    """Each vertex's token, computed once for every line that names it.
-    Vertices that print alike (``1``, ``"1"``) would be written as one, so
-    those of the least shared token raise a GraphError, as do vertices
-    whose token would not read back as one word."""
-    tokens = {v: vertex_token(v) for v in graph.vertices}
-    if len(set(tokens.values())) < len(tokens):
-        counts = Counter(tokens.values())
-        token = min(t for t, n in counts.items() if n > 1)
-        alike = [v for v, t in tokens.items() if t == token]
-        raise GraphError(f"vertices {show_items(alike)} would all be written {token}")
-    unreadable = [v for v, t in tokens.items() if _unreadable(t)]
-    if unreadable:
-        raise GraphError(
-            f"vertices {show_items(unreadable)} would not read back: a token "
-            "must be nonempty, with no whitespace or '#'"
-        )
-    return tokens
-
-
-def _alike_edges(edges, tokens: list[str], token: str) -> GraphError:
-    """The error for edges whose ids print alike (``1``, ``"1"``): written
-    as one token, they would not read back apart."""
-    alike = [e.id for e, t in zip(edges, tokens) if t == token]
-    return GraphError(f"edges {show_items(alike)} would all be written {token}")
+    """Each vertex's token, computed once for every line that names it, in
+    token order."""
+    vertices = list(graph.vertices)
+    tokens = [vertex_token(v) for v in vertices]
+    return {vertices[i]: tokens[i] for i in _token_order(tokens, vertices.__getitem__, "vertices")}
 
 
 def render_graph(name: str, graph: Graph) -> str:
-    lines, _ = _graph_lines(name, graph)
+    lines = _graph_lines(name, graph)[0]
     lines.append("")
     return "\n".join(lines)
 
 
-def _graph_lines(name: str, graph: Graph) -> tuple[list[str], dict]:
-    """The lines of `render_graph`, and the vertex token table they use."""
+def _graph_lines(name: str, graph: Graph) -> tuple[list[str], dict, list[int], list[str]]:
+    """The lines of `render_graph`, its vertex token table, and its edge
+    order and tokens, one token per edge both for the order and the line."""
+    header = _header("graph", name)
     vtokens = _vertex_tokens(graph)
-    lines = [f"graph {name}"] + [f"vertex {t}" for t in sorted(vtokens.values())]
-    # one token per edge, both for the order and for the line; in that
-    # order, ids that print alike are neighbours
+    lines = [header] + [f"vertex {t}" for t in vtokens.values()]
     edges = graph.edges
     etokens = [id_token(e.id) for e in edges]
-    # all tokens checked at once at C level; read one by one only to name
-    # the edges that fail
-    joined = "".join(etokens)
-    if edges and (not all(etokens) or "#" in joined or joined.split() != [joined]):
-        unreadable = [e.id for e, t in zip(edges, etokens) if _unreadable(t)]
-        raise GraphError(
-            f"edges {show_items(unreadable)} would not read back: a token "
-            "must be nonempty, with no whitespace or '#'"
-        )
-    previous = None
-    for i in sorted(range(len(edges)), key=etokens.__getitem__):
+    order = _token_order(etokens, lambda i: edges[i].id, "edges")
+    for i in order:
         e = edges[i]
-        token = etokens[i]
-        if token == previous:
-            raise _alike_edges(edges, etokens, token)
-        previous = token
-        lines.append(f"edge {token} {vtokens[e.src]} {vtokens[e.tgt]}")
-    return lines, vtokens
+        lines.append(f"edge {etokens[i]} {vtokens[e.src]} {vtokens[e.tgt]}")
+    return lines, vtokens, order, etokens
 
 
 def _is_natural(token: str) -> bool:
@@ -323,11 +327,13 @@ def _point_token(point: tuple[str, Any]) -> str:
 
 
 def render_cobordism(name: str, m: Cob0Morphism) -> str:
-    lines = [f"cob {name}"]
-    if m.source:
-        lines.append("left " + " ".join(sorted(map(str, m.source))))
-    if m.target:
-        lines.append("right " + " ".join(sorted(map(str, m.target))))
+    lines = [_header("cob", name)]
+    for keyword, points in (("left", m.source), ("right", m.target)):
+        labels = list(points)
+        tokens = list(map(str, labels))
+        order = _token_order(tokens, labels.__getitem__, f"{keyword} labels")
+        if order:
+            lines.append(f"{keyword} " + " ".join([tokens[i] for i in order]))
     for pair in sorted(m.pairs, key=lambda p: sorted(map(_point_token, p))):
         p, q = sorted(pair, key=_point_token)
         lines.append(f"pair {_point_token(p)} {_point_token(q)}")
@@ -414,37 +420,35 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
 
 
 def render_bimodular(name: str, bg: BimodularGraph) -> str:
-    out, vtokens = _graph_lines(name, bg.graph)
-    for v in sorted(bg.graph.vertices, key=vtokens.__getitem__):
+    out, vtokens, order, etokens = _graph_lines(name, bg.graph)
+    for v, vtoken in vtokens.items():
         grp = bg.groups[v]
         if grp.is_trivial():
             continue
         # a table splits on "," and ";", and action lines name elements too
-        unreadable = [a for a in grp.elements if "," in a or ";" in a or _unreadable(a)]
-        if unreadable:
-            raise GraphError(
-                f"group elements {show_items(unreadable)} at vertex {vtokens[v]} "
-                "would not read back: a name must be nonempty, with no "
-                "whitespace, ',', ';' or '#'"
-            )
+        elements = list(grp.elements)
+        _token_order(elements, elements.__getitem__, "group elements", ",;#", f" at vertex {vtoken}")
         if grp == cyclic_group(grp.order):
-            out.append(f"group {vtokens[v]} cyclic:{grp.order}")
+            out.append(f"group {vtoken} cyclic:{grp.order}")
         else:
             # identity first: the parser reads the first row as the elements
-            order = [grp.identity] + [a for a in grp.elements if a != grp.identity]
-            rows = [
-                ",".join(grp.mul(a, b) for b in order) for a in order
-            ]
-            out.append(f"group {vtokens[v]} table {';'.join(rows)}")
+            rows = [grp.identity] + [a for a in elements if a != grp.identity]
+            table = ";".join(",".join(grp.mul(a, b) for b in rows) for a in rows)
+            out.append(f"group {vtoken} table {table}")
+    # image order must follow render_graph's edge order for round-trips
+    edges = bg.graph.edges
+    in_order: dict = {}  # (v, w) -> {edge id: its token}, in that order
+    for i in order:
+        e = edges[i]
+        in_order.setdefault((e.src, e.tgt), {})[e.id] = etokens[i]
     for tag, tables in (("laction", bg.left), ("raction", bg.right)):
         for (v, w), per_element in sorted(tables.items(), key=lambda kv: _order_key(kv[0])):
-            # image order must follow render_graph's edge order for round-trips
-            edge_ids = sorted(bg.edge_set(v, w), key=id_token)
+            tokens = in_order[(v, w)]
             for g in sorted(per_element):
                 perm = per_element[g]
-                if all(perm[eid] == eid for eid in edge_ids):
+                if all(perm[eid] == eid for eid in tokens):
                     continue
-                images = " ".join(id_token(perm[eid]) for eid in edge_ids)
+                images = " ".join([tokens[perm[eid]] for eid in tokens])
                 out.append(f"{tag} {vtokens[v]} {vtokens[w]} {g} {images}")
     return "\n".join(out) + "\n"
 
@@ -458,32 +462,27 @@ def to_dot(name: str, graph: Graph) -> str:
     """DOT rendering; opposite edge pairs collapse to one dir=both edge."""
     lines = [f"digraph {_dot_string(name)} {{"]
     vtokens = _vertex_tokens(graph)
-    lines += [f"  {_dot_string(t)};" for t in sorted(vtokens.values())]
-    remaining = sorted(graph.edges, key=lambda e: id_token(e.id))
-    # in token order, ids that print alike are neighbours
-    etokens = [id_token(e.id) for e in remaining]
-    for token, following in zip(etokens, etokens[1:]):
-        if token == following:
-            raise _alike_edges(remaining, etokens, token)
-    used: set = set()
+    lines += [f"  {_dot_string(t)};" for t in vtokens.values()]
+    edges = graph.edges
+    etokens = [id_token(e.id) for e in edges]
+    order = _token_order(etokens, lambda i: edges[i].id, "edges", forbidden=None)
     by_endpoints: dict = {}
-    for e in remaining:
-        by_endpoints.setdefault((e.src, e.tgt), []).append(e)
-    for e in remaining:
-        if e.id in used:
+    for i in order:
+        e = edges[i]
+        by_endpoints.setdefault((e.src, e.tgt), []).append(i)
+    used: set = set()
+    for i in order:
+        if i in used:
             continue
-        used.add(e.id)
+        used.add(i)
+        e = edges[i]
         ends = f"{_dot_string(vtokens[e.src])} -> {_dot_string(vtokens[e.tgt])}"
-        partner = None
-        for cand in by_endpoints.get((e.tgt, e.src), []):
-            if cand.id not in used:
-                partner = cand
-                break
+        partner = next((j for j in by_endpoints.get((e.tgt, e.src), ()) if j not in used), None)
         if partner is not None:
-            used.add(partner.id)
-            label = f"{id_token(e.id)} / {id_token(partner.id)}"
+            used.add(partner)
+            label = f"{etokens[i]} / {etokens[partner]}"
             lines.append(f"  {ends} [dir=both, label={_dot_string(label)}];")
         else:
-            lines.append(f"  {ends} [label={_dot_string(id_token(e.id))}];")
+            lines.append(f"  {ends} [label={_dot_string(etokens[i])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intgraphs.bimodular import BimodularGraph, FiniteGroup, cyclic_group, klein_four_group
-from intgraphs.cob0 import cob0_morphism, source_point as sp, target_point as tp
+from intgraphs.cob0 import (
+    cob0_enumerate,
+    cob0_identity,
+    cob0_morphism,
+    source_point as sp,
+    target_point as tp,
+)
 from intgraphs.formats import (
     ParseError,
     id_token,
@@ -26,7 +32,7 @@ from intgraphs.formats import (
 )
 from intgraphs.execution import execute
 from intgraphs.functor import SegmentEdgeId
-from intgraphs.graph import Graph, GraphError, OMEGA, ExtNat
+from intgraphs.graph import Graph, GraphError, OMEGA, ExtNat, show_items
 from intgraphs.interaction import IdentityEdgeId, Project
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -208,6 +214,15 @@ class TestRenderGraphOutput:
         with pytest.raises(GraphError, match=message):
             render_bimodular("b", BimodularGraph(graph, groups={"a": cyclic_group(2)}))
 
+    def test_a_token_that_would_not_read_back_is_named_before_tokens_alike(self):
+        # both vertices print "dom:a b"; every kind of token checks reading
+        # back first
+        graph = Graph({("dom", "a b"), "dom:a b"})
+        message = r"^vertices \[\('dom', 'a b'\), 'dom:a b'\] would not read back"
+        for render in (render_graph, to_dot):
+            with pytest.raises(GraphError, match=message):
+                render("g", graph)
+
     def test_vertices_that_print_alike_are_rejected(self):
         # written as two "vertex 1" lines, they would read back as one
         graph = Graph({1, "1", "a"}, [("e", 1, "1")])
@@ -371,14 +386,21 @@ class TestCobordismFormat:
         assert m.source == {"a1", "a2"} and m.target == {"a1", "b"}
 
     def test_round_trip(self):
-        m = cob0_morphism(
+        morphisms = cob0_enumerate({"a1", "a2"}, {"b1", "b2"}, max_circles=3)
+        assert cob0_morphism(
             {"a1", "a2"},
             {"b1", "b2"},
             [(sp("a1"), tp("b2")), (sp("a2"), tp("b1"))],
             circles=3,
-        )
-        _, parsed = parse_cobordism(render_cobordism("c", m))
-        assert parsed == m
+        ) in morphisms
+        for m in morphisms:
+            assert parse_cobordism(render_cobordism("c", m)) == ("c", m)
+
+    @pytest.mark.parametrize("labels", [["a b"], [1, "1"], ["x#y"], [""]])
+    def test_labels_the_parser_would_not_read_back_are_rejected(self, labels):
+        # "left a b" reads back as two points; "left 1 1" as a repeated one
+        with pytest.raises(GraphError, match=rf"^left labels {re.escape(show_items(labels))} "):
+            render_cobordism("M", cob0_identity(labels))
 
 
 class TestBimodularFormat:
@@ -579,6 +601,25 @@ class TestSampleFiles:
         _, left = parse_bimodular((self.SAMPLES / "swap_left.bimod").read_text())
         _, right = parse_bimodular((self.SAMPLES / "swap_right.bimod").read_text())
         assert len(bimod_compose2(left, right).graph.edges) == 1
+
+
+@pytest.mark.parametrize("name", ["a#b", "my graph", ""])
+@pytest.mark.parametrize(
+    "render, value",
+    [
+        (render_graph, Graph({"a"})),
+        (render_project, Project(ExtNat(1), Graph({"a"}))),
+        (render_bimodular, BimodularGraph(Graph({"a"}), {"a": cyclic_group(2)})),
+        (render_cobordism, cob0_identity(["a"])),
+    ],
+)
+def test_block_names_that_would_not_read_back_are_rejected(render, value, name):
+    # "graph a#b" would read back as a graph named a
+    with pytest.raises(GraphError, match=rf"^(graph|cob) names {re.escape(repr([name]))} would not"):
+        render(name, value)
+    # DOT quotes the name
+    if isinstance(value, Graph):
+        assert to_dot(name, value).startswith(f'digraph "{name}" {{')
 
 
 class TestDot:

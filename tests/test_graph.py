@@ -89,6 +89,16 @@ class TestExtNat:
         assert str(OMEGA) == "omega"
         assert str(ExtNat(4)) == "4"
 
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            OMEGA.value = 1
+        assert OMEGA.is_omega
+
+    def test_int(self):
+        assert int(ExtNat(3)) == 3
+        with pytest.raises(ValueError, match="omega is not a finite natural"):
+            int(OMEGA)
+
     def test_order_against_a_non_number_names_both_types(self):
         for compare in (
             lambda: ExtNat(1) > "a",
