@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .graph import (
     Edge,
@@ -178,6 +178,15 @@ Perm = dict[EdgeId, EdgeId]
 ActionTable = dict[str, Perm]
 
 
+def _edge_sets_of(graph: Graph) -> dict[tuple[Vertex, Vertex], tuple[EdgeId, ...]]:
+    """The ids of the edges from v to w, for each pair (v, w) that has one,
+    in edge order."""
+    sets: dict[tuple[Vertex, Vertex], list[EdgeId]] = {}
+    for e in graph.edges:
+        sets.setdefault((e.src, e.tgt), []).append(e.id)
+    return {pair: tuple(ids) for pair, ids in sets.items()}
+
+
 def _action(
     group: FiniteGroup,
     ids: tuple[EdgeId, ...],
@@ -240,17 +249,14 @@ class BimodularGraph:
         for v in given:
             if v not in graph.vertices:
                 raise IncompatibleGroupsError(f"group assigned to unknown vertex {v!r}")
-        self.groups = {v: given.get(v, trivial_group()) for v in graph.vertices}
-
-        edge_sets: dict[tuple[Vertex, Vertex], list[EdgeId]] = {}
-        for e in graph.edges:
-            edge_sets.setdefault((e.src, e.tgt), []).append(e.id)
-        self._edge_sets = {pair: tuple(ids) for pair, ids in edge_sets.items()}
+        trivial = trivial_group()
+        self.groups = {v: given.get(v, trivial) for v in graph.vertices}
+        self._edge_sets = _edge_sets_of(graph)
 
         left, right = left or {}, right or {}
         for tables in (left, right):
             for pair, table in tables.items():
-                if table and pair not in edge_sets:
+                if table and pair not in self._edge_sets:
                     raise IncompatibleActionsError(
                         f"action given for vertex pair {pair!r} with no edges"
                     )
@@ -293,110 +299,107 @@ def bimod_compose2(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     """Compose along length-2 paths, identifying (e, e') with
     (e . b, b^-1 . e') for b in the middle vertex's group.
 
-    The length-2 paths are the arcs of the derived graph from an initial
-    node of f to a final node of g, read in node order.  Composite edges
-    are the orbits; boundary actions descend to them.
+    Composite edges are the orbits; boundary actions descend to them.
     """
-    _check_compatible(f, g)
-    dg = derived_graph(f.graph, g.graph)
-    starts = [
+    return _quotient_graph(f, g, _length_two_paths)
+
+
+def _length_two_paths(f: Graph, g: Graph) -> list[Path]:
+    """The arcs of the derived graph from an initial node of f to a final
+    node of g, in node order."""
+    dg = derived_graph(f, g)
+    return [
         Path((dg.nodes[i], dg.nodes[j]))
         for i, (side, _) in enumerate(dg.nodes)
         if side == 0 and dg.is_initial[i]
         for j in dg.succ[i]
         if dg.is_final[j]
     ]
-    return _quotient_graph((f, g), *_orbits((f, g), starts))
 
 
+_Operands = tuple[BimodularGraph, BimodularGraph]
 Steps = tuple[tuple[int, Edge], ...]
 
 
-def _act_at_junction(
-    bgs: tuple[BimodularGraph, BimodularGraph], steps: Steps, i: int, b: str
-) -> Steps:
+def _moved(bgs: _Operands, step: tuple[int, Edge], x: str, right: bool) -> tuple[int, Edge]:
+    """``step`` moved by x under its side's right action, or its left
+    action when not ``right``."""
+    s, e = step
+    bg = bgs[s]
+    return s, bg.graph.edge((bg.right if right else bg.left)[(e.src, e.tgt)][x][e.id])
+
+
+def _act_at_junction(bgs: _Operands, steps: Steps, i: int, b: str) -> Steps:
     """Apply b at junction i (between steps i-1 and i): the incoming edge
     moves by the right action, the outgoing one by the inverse left action."""
     s_in, e_in = steps[i - 1]
-    s_out, e_out = steps[i]
-    bg_in, bg_out = bgs[s_in], bgs[s_out]
-    group = bg_in.groups[e_in.tgt]
-    new_in_id = bg_in.right[(e_in.src, e_in.tgt)][b][e_in.id]
-    new_out_id = bg_out.left[(e_out.src, e_out.tgt)][group.inv(b)][e_out.id]
+    b_inv = bgs[s_in].groups[e_in.tgt].inv(b)
     return (
         steps[: i - 1]
-        + ((s_in, bg_in.graph.edge(new_in_id)), (s_out, bg_out.graph.edge(new_out_id)))
+        + (_moved(bgs, steps[i - 1], b, True), _moved(bgs, steps[i], b_inv, False))
         + steps[i + 1:]
     )
 
 
-def _path_orbit(bgs: tuple[BimodularGraph, BimodularGraph], start: Steps) -> frozenset:
-    """Closure of one alternating path under all junction-group moves."""
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for i in range(1, len(cur)):
-            group = bgs[cur[i - 1][0]].groups[cur[i - 1][1].tgt]
-            for b in group.elements:
-                img = _act_at_junction(bgs, cur, i, b)
-                if img not in seen:
-                    if len(seen) >= _ORBIT_CAP:
-                        raise OrbitCapExceededError(
-                            f"path orbit exceeded {_ORBIT_CAP} elements"
-                        )
-                    seen.add(img)
-                    queue.append(img)
-    return frozenset(seen)
-
-
-def _orbits(
-    bgs: tuple[BimodularGraph, BimodularGraph], starts: Iterable[Path]
-) -> tuple[dict[Steps, tuple], list[Path]]:
+def _orbits(bgs: _Operands, starts: Iterable[Path]) -> tuple[dict[Steps, tuple], list[Path]]:
     """The junction-group orbits through ``starts``: a map from each
     member's steps to its orbit's edge id, and the representatives in order
     of arrival.  The starts come in node order and hold every member of
     each orbit (a junction move keeps vertices and sides), so the first
-    member met is the least; its flat id is the orbit's id."""
+    member met is the least; its flat id is the orbit's id, and its
+    junction groups are every member's."""
     orbit_of: dict[Steps, tuple] = {}
     reps: list[Path] = []
     for path in starts:
-        if path.steps in orbit_of:
+        start = path.steps
+        if start in orbit_of:
             continue
         reps.append(path)
-        for member in _path_orbit(bgs, path.steps):
-            orbit_of[member] = path.flat_id
+        key = orbit_of[start] = path.flat_id
+        junctions = [
+            (i, bgs[s].groups[e.tgt].elements) for i, (s, e) in enumerate(start[:-1], start=1)
+        ]
+        size = 1
+        queue = [start]
+        while queue:
+            cur = queue.pop()
+            for i, elements in junctions:
+                for b in elements:
+                    img = _act_at_junction(bgs, cur, i, b)
+                    if img not in orbit_of:
+                        if size >= _ORBIT_CAP:
+                            raise OrbitCapExceededError(
+                                f"path orbit exceeded {_ORBIT_CAP} elements"
+                            )
+                        orbit_of[img] = key
+                        size += 1
+                        queue.append(img)
     return orbit_of, reps
 
 
 def _quotient_graph(
-    bgs: tuple[BimodularGraph, BimodularGraph],
-    orbit_of: dict[Steps, tuple],
-    reps: list[Path],
+    f: BimodularGraph, g: BimodularGraph, starts: Callable[[Graph, Graph], list[Path]]
 ) -> BimodularGraph:
-    """The executed graph of the representatives, one edge per orbit, with
-    the boundary actions descending to the orbits through them."""
-    f, g = bgs
+    """The paths ``starts(f.graph, g.graph)`` quotiented by the junction
+    groups: the executed graph of one representative per orbit, with the
+    boundary actions descending to the orbits through them.  The groups
+    are checked before any path is listed."""
+    _check_compatible(f, g)
+    bgs = (f, g)
+    orbit_of, reps = _orbits(bgs, starts(f.graph, g.graph))
     result_graph = _executed_graph(f.graph, g.graph, reps)
-    groups = {
-        v: (f.groups[v] if v in f.graph.vertices else g.groups[v])
-        for v in result_graph.vertices
-    }
-
+    groups = {v: (f.groups if v in f.groups else g.groups)[v] for v in result_graph.vertices}
     left: dict = {}
     right: dict = {}
     for path in reps:
         key, rep = path.flat_id, path.steps
-        s0, e0 = rep[0]
-        sn, en = rep[-1]
-        pair = (e0.src, en.tgt)
-        for a in groups[e0.src].elements:
-            new_first = bgs[s0].graph.edge(bgs[s0].left[(e0.src, e0.tgt)][a][e0.id])
-            img = orbit_of[((s0, new_first),) + rep[1:]]
+        first, last = rep[0], rep[-1]
+        pair = (first[1].src, last[1].tgt)
+        for a in groups[pair[0]].elements:
+            img = orbit_of[(_moved(bgs, first, a, False),) + rep[1:]]
             left.setdefault(pair, {}).setdefault(a, {})[key] = img
-        for c in groups[en.tgt].elements:
-            new_last = bgs[sn].graph.edge(bgs[sn].right[(en.src, en.tgt)][c][en.id])
-            img = orbit_of[rep[:-1] + ((sn, new_last),)]
+        for c in groups[pair[1]].elements:
+            img = orbit_of[rep[:-1] + (_moved(bgs, last, c, True),)]
             right.setdefault(pair, {}).setdefault(c, {})[key] = img
     return BimodularGraph(result_graph, groups, left, right)
 
@@ -410,8 +413,7 @@ def bimod_execute(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:
     names two edges, as there.  Raises InfinitePathSetError via the same
     detector as plain execution.
     """
-    _check_compatible(f, g)
-    return _quotient_graph((f, g), *_orbits((f, g), alternating_paths(f.graph, g.graph)))
+    return _quotient_graph(f, g, alternating_paths)
 
 
 def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:
@@ -422,8 +424,7 @@ def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:
     bgs = (f, g)
     paths = alternating_paths(f.graph, g.graph)
     orbit_of, _ = _orbits(bgs, paths)
-    checked = 0
-    violations = []
+    checked = violations = 0
     for p in paths:
         junctions = [bgs[s].groups[e.tgt] for s, e in p.steps[:-1]]
         total = math.prod(grp.order for grp in junctions)
@@ -437,11 +438,6 @@ def check_well_defined(f: BimodularGraph, g: BimodularGraph) -> CheckReport:
             for i, b in enumerate(assignment, start=1):
                 cur = _act_at_junction(bgs, cur, i, b)
             checked += 1
-            if orbit_of[cur] != orbit_of[p.steps]:
-                violations.append((p.steps, assignment))
-    details = {
-        "paths": len(paths),
-        "applications": checked,
-        "violations": len(violations),
-    }
+            violations += orbit_of[cur] != orbit_of[p.steps]
+    details = {"paths": len(paths), "applications": checked, "violations": violations}
     return CheckReport("bimod-well-defined", not violations, details)

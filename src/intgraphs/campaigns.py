@@ -19,7 +19,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .bimodular import BimodularGraph, bimod_execute, check_well_defined, cyclic_group
+from .bimodular import (
+    BimodularGraph, _edge_sets_of, bimod_execute, check_well_defined, cyclic_group,
+)
 from .cob0 import cob0_compose, cob0_enumerate, cob0_identity
 from .execution import (
     check_associativity,
@@ -330,7 +332,7 @@ def _commuting(pool, perm: tuple[int, ...]) -> list:
     return [q for q in pool if all(q[a] == perm[b] for a, b in zip(perm, q))]
 
 
-def _powers_action(group, ids: list, generator: tuple[int, ...]) -> dict:
+def _powers_action(group, ids: tuple, generator: tuple[int, ...]) -> dict:
     """Action of a cyclic group on the edge ids, sending element "k" to
     generator^k (generator permutes the positions of ids)."""
     powers = [tuple(range(len(ids)))]
@@ -345,10 +347,7 @@ def _random_commuting_actions(rng: random.Random, graph: Graph, groups: dict):
     right generator is drawn from the centralizer of the left one."""
     left: dict = {}
     right: dict = {}
-    pairs: dict = {}
-    for e in graph.edges:
-        pairs.setdefault((e.src, e.tgt), []).append(e.id)
-    for (v, w), ids in pairs.items():
+    for (v, w), ids in _edge_sets_of(graph).items():
         lgrp, rgrp = groups[v], groups[w]
         lgen = rng.choice(_perm_pool(len(ids), lgrp.order))
         rgen = rng.choice(_commuting(_perm_pool(len(ids), rgrp.order), lgen))

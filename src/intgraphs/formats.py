@@ -51,8 +51,8 @@ names.  Values that print alike, such as ``1`` and ``"1"``, cannot be
 written apart, and a token that the parser would split or cut does not
 read back: an empty one, or one holding whitespace or ``#``, and for a
 group element ``,`` or ``;``.  Rendering either raises a GraphError
-naming the values.  DOT output quotes its name and edge labels, escaping
-``\\`` and ``"``, so only its vertices must read back.
+naming the values.  DOT output quotes every token, escaping ``\\`` and
+``"``, so it checks only that its vertices and edge labels print apart.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from itertools import islice
 from operator import eq
 from typing import Any, Callable
 
-from .bimodular import BimodularGraph, FiniteGroup, cyclic_group, trivial_group
+from .bimodular import BimodularGraph, FiniteGroup, _edge_sets_of, cyclic_group, trivial_group
 from .cob0 import Cob0Morphism, source_point, target_point
 from .graph import ExtNat, Graph, GraphError, OMEGA, _order_key, show_items
 from .interaction import Project
@@ -157,7 +157,7 @@ def _token_order(tokens: list[str], item: Callable[[int], Any], what: str,
     in token order.  Raises a GraphError naming, by ``item(index)``, the
     ``what`` whose token would not read back as one word: it is empty, or
     holds whitespace or a character of ``forbidden`` (None skips this check,
-    for DOT's quoted labels).  Else it names those that would all be
+    for DOT, which quotes every token).  Else it names those that would all be
     written as the least token that two share.  Edge tokens are on the
     rendering hot path, so both checks run over all tokens at once: a join,
     a split and a neighbour compare at C level.  Tokens are read one by one
@@ -190,12 +190,17 @@ def _header(keyword: str, name: Any) -> str:
     return f"{keyword} {name}"
 
 
-def _vertex_tokens(graph: Graph) -> dict:
-    """Each vertex's token, computed once for every line that names it, in
-    token order."""
+def _graph_tokens(graph: Graph, forbidden: str | None) -> tuple[dict, list[int], list[str]]:
+    """A graph's token table, computed once for every line that names a
+    value: each vertex's token in token order, and the edge order and
+    tokens.  ``forbidden`` is as for `_token_order`."""
     vertices = list(graph.vertices)
     tokens = [vertex_token(v) for v in vertices]
-    return {vertices[i]: tokens[i] for i in _token_order(tokens, vertices.__getitem__, "vertices")}
+    vorder = _token_order(tokens, vertices.__getitem__, "vertices", forbidden)
+    edges = graph.edges
+    etokens = [id_token(e.id) for e in edges]
+    order = _token_order(etokens, lambda i: edges[i].id, "edges", forbidden)
+    return {vertices[i]: tokens[i] for i in vorder}, order, etokens
 
 
 def render_graph(name: str, graph: Graph) -> str:
@@ -204,19 +209,16 @@ def render_graph(name: str, graph: Graph) -> str:
     return "\n".join(lines)
 
 
-def _graph_lines(name: str, graph: Graph) -> tuple[list[str], dict, list[int], list[str]]:
-    """The lines of `render_graph`, its vertex token table, and its edge
-    order and tokens, one token per edge both for the order and the line."""
+def _graph_lines(name: str, graph: Graph) -> tuple[list[str], tuple[dict, list[int], list[str]]]:
+    """The lines of `render_graph` and its token table."""
     header = _header("graph", name)
-    vtokens = _vertex_tokens(graph)
+    vtokens, order, etokens = table = _graph_tokens(graph, "#")
     lines = [header] + [f"vertex {t}" for t in vtokens.values()]
     edges = graph.edges
-    etokens = [id_token(e.id) for e in edges]
-    order = _token_order(etokens, lambda i: edges[i].id, "edges")
     for i in order:
         e = edges[i]
         lines.append(f"edge {etokens[i]} {vtokens[e.src]} {vtokens[e.tgt]}")
-    return lines, vtokens, order, etokens
+    return lines, table
 
 
 def _is_natural(token: str) -> bool:
@@ -371,6 +373,7 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
     name, graph, extra = _parse_graph_block(
         text, allow=("group", "laction", "raction")
     )
+    edge_sets = _edge_sets_of(graph)
     groups: dict = {}
     left: dict = {}
     right: dict = {}
@@ -390,7 +393,7 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
                 raise ParseError(f"{directive} expects <v> <v'> <g> <images...>", lineno)
             v, w, g = args[0], args[1], args[2]
             images = args[3:]
-            edge_ids = [e.id for e in graph.edges if (e.src, e.tgt) == (v, w)]
+            edge_ids = list(edge_sets.get((v, w), ()))
             if not edge_ids:
                 raise ParseError(f"no edges from {v!r} to {w!r}", lineno)
             if len(images) != len(edge_ids):
@@ -420,20 +423,21 @@ def parse_bimodular(text: str) -> tuple[str, BimodularGraph]:
 
 
 def render_bimodular(name: str, bg: BimodularGraph) -> str:
-    out, vtokens, order, etokens = _graph_lines(name, bg.graph)
+    out, (vtokens, order, etokens) = _graph_lines(name, bg.graph)
     for v, vtoken in vtokens.items():
         grp = bg.groups[v]
         if grp.is_trivial():
             continue
         # a table splits on "," and ";", and action lines name elements too
         elements = list(grp.elements)
-        _token_order(elements, elements.__getitem__, "group elements", ",;#", f" at vertex {vtoken}")
+        tokens = [str(a) for a in elements]
+        _token_order(tokens, elements.__getitem__, "group elements", ",;#", f" at vertex {vtoken}")
         if grp == cyclic_group(grp.order):
             out.append(f"group {vtoken} cyclic:{grp.order}")
         else:
             # identity first: the parser reads the first row as the elements
             rows = [grp.identity] + [a for a in elements if a != grp.identity]
-            table = ";".join(",".join(grp.mul(a, b) for b in rows) for a in rows)
+            table = ";".join(",".join([str(grp.mul(a, b)) for b in rows]) for a in rows)
             out.append(f"group {vtoken} table {table}")
     # image order must follow render_graph's edge order for round-trips
     edges = bg.graph.edges
@@ -444,7 +448,7 @@ def render_bimodular(name: str, bg: BimodularGraph) -> str:
     for tag, tables in (("laction", bg.left), ("raction", bg.right)):
         for (v, w), per_element in sorted(tables.items(), key=lambda kv: _order_key(kv[0])):
             tokens = in_order[(v, w)]
-            for g in sorted(per_element):
+            for g in sorted(per_element, key=str):
                 perm = per_element[g]
                 if all(perm[eid] == eid for eid in tokens):
                     continue
@@ -461,11 +465,10 @@ def _dot_string(text: str) -> str:
 def to_dot(name: str, graph: Graph) -> str:
     """DOT rendering; opposite edge pairs collapse to one dir=both edge."""
     lines = [f"digraph {_dot_string(name)} {{"]
-    vtokens = _vertex_tokens(graph)
+    # DOT quotes every token, so its tokens need only print apart
+    vtokens, order, etokens = _graph_tokens(graph, None)
     lines += [f"  {_dot_string(t)};" for t in vtokens.values()]
     edges = graph.edges
-    etokens = [id_token(e.id) for e in edges]
-    order = _token_order(etokens, lambda i: edges[i].id, "edges", forbidden=None)
     by_endpoints: dict = {}
     for i in order:
         e = edges[i]

@@ -228,6 +228,18 @@ class TestCompose2:
         with pytest.raises(IncompatibleGroupsError):
             bimod_compose2(f, g)
 
+    @pytest.mark.parametrize("op", [bimod_compose2, bimod_execute, check_well_defined])
+    def test_mismatched_groups_are_found_before_the_paths(self, op):
+        # v -e-> m (-h1-> n -g2-> m)* -f-> w has infinitely many paths
+        f_graph = Graph({"v", "m", "n"}, [("e", "v", "m"), ("g2", "n", "m")])
+        g_graph = Graph({"m", "n", "w"}, [("h1", "m", "n"), ("f", "m", "w")])
+        f = BimodularGraph(f_graph, groups={"m": cyclic_group(2)})
+        with pytest.raises(InfinitePathSetError):
+            bimod_execute(f, BimodularGraph(g_graph, groups={"m": cyclic_group(2)}))
+        g = BimodularGraph(g_graph, groups={"m": cyclic_group(3)})
+        with pytest.raises(IncompatibleGroupsError, match="groups at shared vertex 'm' differ"):
+            op(f, g)
+
     def test_descended_actions_revalidate(self):
         f, g = swap_example()
         result = bimod_compose2(f, g)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from intgraphs import execution
 from intgraphs.execution import (
     PreconditionViolationError,
     check_associativity,
@@ -157,6 +158,27 @@ class TestAssociativity:
         F = g({"x", "y"}, [("e", "x", "y")])
         report = check_associativity(F, Graph.empty(), Graph.empty())
         assert report.passed
+
+    def test_failure_reports_both_normal_forms(self, monkeypatch):
+        # associativity holds, so plant a fault: the right side's normal
+        # form loses its edges
+        F = g({"a", "b"}, [("e", "a", "b")])
+        G = g({"b", "c"}, [("f", "b", "c")])
+        H = g({"c", "d"}, [("k", "c", "d")])
+        forms = []
+
+        def planted(graph):
+            forms.append(normal_form(graph))
+            return forms[-1] if len(forms) == 1 else (forms[-1][0], ())
+
+        monkeypatch.setattr(execution, "normal_form", planted)
+        report = check_associativity(F, G, H)
+        assert report.verdict == "FAIL"
+        assert forms[0] == forms[1] == (frozenset({"a", "d"}), ((("e", "f", "k"), "a", "d"),))
+        assert report.details == {
+            "vertices": 2, "edges_left": 1, "edges_right": 1,
+            "left_form": forms[0], "right_form": (frozenset({"a", "d"}), ()),
+        }
 
     def test_triple_intersection_rejected(self):
         F = g({"v"})

@@ -197,9 +197,14 @@ class TestRenderGraphOutput:
     def test_vertices_the_parser_would_split_are_rejected(self, vertex):
         # "vertex a#b" would read back as vertex a
         graph = Graph({vertex, "c"}, [("e", "c", vertex)])
-        for render in (render_graph, to_dot):
-            with pytest.raises(GraphError, match="would not read back"):
-                render("g", graph)
+        with pytest.raises(GraphError, match="would not read back"):
+            render_graph("g", graph)
+        # DOT quotes vertex names as it quotes edge labels; each token
+        # sorts before "c"
+        node = '"' + vertex + '"'
+        assert to_dot("g", graph) == (
+            f'digraph "g" {{\n  {node};\n  "c";\n  "c" -> {node} [label="e"];\n}}\n'
+        )
 
     @pytest.mark.parametrize(
         "edge_id", ["x b a#", (), "a b", " a", "a\t", "a\u2028b", "#", ("",), ("a", "b c")]
@@ -218,10 +223,12 @@ class TestRenderGraphOutput:
         # both vertices print "dom:a b"; every kind of token checks reading
         # back first
         graph = Graph({("dom", "a b"), "dom:a b"})
-        message = r"^vertices \[\('dom', 'a b'\), 'dom:a b'\] would not read back"
-        for render in (render_graph, to_dot):
-            with pytest.raises(GraphError, match=message):
-                render("g", graph)
+        vertices = r"^vertices \[\('dom', 'a b'\), 'dom:a b'\]"
+        with pytest.raises(GraphError, match=vertices + " would not read back"):
+            render_graph("g", graph)
+        # DOT quotes its tokens, so it checks only that they print apart
+        with pytest.raises(GraphError, match=vertices + " would all be written dom:a b$"):
+            to_dot("g", graph)
 
     def test_vertices_that_print_alike_are_rejected(self):
         # written as two "vertex 1" lines, they would read back as one
@@ -429,6 +436,31 @@ class TestBimodularFormat:
         })
         bg = BimodularGraph(Graph({"v", "m"}, [("e1", "v", "m")]), {"m": grp})
         with pytest.raises(GraphError, match=r"group elements \[.*\] at vertex m would not read back"):
+            render_bimodular("b", bg)
+
+    @pytest.mark.parametrize("other", [1, "a"])
+    def test_elements_are_written_by_their_str(self, other):
+        # FiniteGroup takes any elements; the text names each by its str
+        grp = FiniteGroup("t", [0, other], {
+            (0, 0): 0, (0, other): other, (other, 0): other, (other, other): 0,
+        })
+        graph = Graph({"v", "m"}, [("e1", "v", "m"), ("e2", "v", "m")])
+        swap = {"e1": "e2", "e2": "e1"}
+        bg = BimodularGraph(graph, {"v": grp, "m": grp}, {("v", "m"): {other: swap}},
+                            {("v", "m"): {other: swap}})
+        text = render_bimodular("b", bg)
+        assert f"group m table 0,{other};{other},0\n" in text
+        assert f"raction v m {other} e2 e1\n" in text
+        _, parsed = parse_bimodular(text)
+        names = {(str(a), str(b)): str(c) for (a, b), c in grp.table.items()}
+        assert parsed.groups["v"].table == parsed.groups["m"].table == names
+        assert parsed.left[("v", "m")][str(other)] == parsed.right[("v", "m")][str(other)] == swap
+
+    def test_elements_that_print_alike_are_rejected(self):
+        grp = FiniteGroup("t", [1, "1"], {(1, 1): 1, (1, "1"): "1", ("1", 1): "1", ("1", "1"): 1})
+        bg = BimodularGraph(Graph({"v", "m"}, [("e1", "v", "m")]), {"m": grp})
+        message = r"^group elements \[1, '1'\] at vertex m would all be written 1$"
+        with pytest.raises(GraphError, match=message):
             render_bimodular("b", bg)
 
     def test_klein_table_round_trip(self):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 from collections import Counter
 
+from intgraphs import functor
 from intgraphs.cob0 import (
     SRC,
     Cob0Morphism,
@@ -20,8 +21,8 @@ from intgraphs.functor import (
     functor_bar,
     fundamental_graph,
 )
-from intgraphs.graph import ExtNat
-from intgraphs.interaction import cod_vertex, dom_vertex, int_identity
+from intgraphs.graph import ExtNat, Graph
+from intgraphs.interaction import Project, cod_vertex, dom_vertex, int_identity
 
 
 def three_strand_cobordism(circles: int) -> Cob0Morphism:
@@ -192,6 +193,24 @@ class TestFunctoriality:
         assert report.details["measure_directed"] == "2"
 
 
+    def test_failure_reports_both_endpoint_multisets(self, monkeypatch):
+        # cap then cup: the composite pairs a1-a2 and c1-c2 around one
+        # circle.  Plant a fault: the glued cobordism pairs across instead.
+        m = cob0_morphism({"a1", "a2"}, {"b1", "b2"}, [(sp("a1"), sp("a2")), (tp("b1"), tp("b2"))])
+        n = cob0_morphism({"b1", "b2"}, {"c1", "c2"}, [(sp("b1"), sp("b2")), (tp("c1"), tp("c2"))])
+        crossed = cob0_morphism(
+            {"a1", "a2"}, {"c1", "c2"}, [(sp("a1"), tp("c1")), (sp("a2"), tp("c2"))], circles=1
+        )
+        monkeypatch.setattr(functor, "cob0_compose", lambda m, n: crossed)
+        report = check_functoriality(m, n)
+        assert report.verdict == "FAIL"
+        assert report.details["graph_equal"] is False
+        pairs = lambda image: sorted((str(e.src), str(e.tgt)) for e in image.graph.edges)
+        assert report.details["image_of_composite"] == pairs(fundamental_graph(crossed))
+        assert report.details["composite_of_images"] == pairs(fundamental_graph(cob0_compose(m, n)))
+        assert report.details["image_of_composite"] != report.details["composite_of_images"]
+
+
 class TestFaithfulness:
     def test_six_points_two_circles(self):
         report = check_faithfulness({"a1", "a2", "a3"}, {"b1", "b2", "b3"}, 2)
@@ -204,6 +223,27 @@ class TestFaithfulness:
         report = check_faithfulness({"a"}, {"b"}, 0)
         assert report.passed
         assert report.details["hom_size"] == 1
+
+    def test_failure_names_the_first_collision(self, monkeypatch):
+        # plant a fault: every morphism has the same image
+        monkeypatch.setattr(functor, "functor_bar", lambda m: Project(ExtNat(0), Graph.empty()))
+        report = check_faithfulness({"a"}, {"b"}, 1)
+        assert report.verdict == "FAIL"
+        first, second = cob0_enumerate({"a"}, {"b"}, 1)[:2]
+        assert report.details == {
+            "hom_size": 2, "distinct_images": 1, "plain_functor_witness": True,
+            "first_collision": str((first, second)),
+        }
+
+    def test_failure_when_the_plain_functor_witness_is_missing(self, monkeypatch):
+        # plant a fault: every morphism has its own graph, so no two share one
+        monkeypatch.setattr(functor, "functor_bar", lambda m: Project(ExtNat(0), Graph({m})))
+        report = check_faithfulness({"a"}, {"b"}, 1)
+        assert report.verdict == "FAIL"
+        assert report.details == {
+            "hom_size": 2, "distinct_images": 2, "plain_functor_witness": False,
+            "error": "expected a graph-only collision witness",
+        }
 
     def test_plain_functor_collapses_circle_counts(self):
         g2 = functor_bar(three_strand_cobordism(2))

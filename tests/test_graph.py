@@ -233,10 +233,14 @@ class TestAlternatingPaths:
         }
 
     def test_paths_carry_alternation_invariant(self):
-        G = g({"a", "b", "c"}, [("e1", "a", "b"), ("e2", "b", "c")])
-        H = g({"b", "c", "d"}, [("f1", "b", "c"), ("f2", "c", "d")])
-        for p in alternating_paths(G, H):
+        # a -e1-> b -f1-> c -e2-> d -f2-> x, and a -e1-> b -f3-> d -e3-> y
+        G = g({"a", "b", "c", "d", "y"}, [("e1", "a", "b"), ("e2", "c", "d"), ("e3", "d", "y")])
+        H = g({"b", "c", "d", "x"}, [("f1", "b", "c"), ("f2", "d", "x"), ("f3", "b", "d")])
+        paths = alternating_paths(G, H)
+        assert sorted(p.flat_id for p in paths) == [("e1", "f1", "e2", "f2"), ("e1", "f3", "e3")]
+        for p in paths:
             sides = p.sides
+            assert len(sides) == len(p.steps) >= 3
             assert all(x != y for x, y in zip(sides, sides[1:]))
 
     def test_matches_oracle_on_hand_instances(self):
