@@ -13,8 +13,9 @@ product of the interface-junction groups.  Orbits are closed over the
 kernel's paths in node order; the first member met names the orbit.  The
 quotient graph is built as `execute` builds its result.
 
-All groups are finite with explicit multiplication tables; cyclic and
-small permutation groups are provided as builders.
+All groups are finite with explicit multiplication tables.  The cyclic,
+symmetric, Klein four and direct-product constructors each give `_group`
+their elements and an operation, and it builds the table.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Callable, Iterable, Mapping
 
 from .graph import (
@@ -31,6 +33,7 @@ from .graph import (
     GraphError,
     Path,
     Vertex,
+    _order_key,
     alternating_paths,
     derived_graph,
 )
@@ -135,43 +138,35 @@ def cyclic_group(k: int) -> FiniteGroup:
 
 @functools.cache
 def _cyclic_group(k: int) -> FiniteGroup:
-    elements = [str(i) for i in range(k)]
-    table = {
-        (str(i), str(j)): str((i + j) % k) for i in range(k) for j in range(k)
-    }
-    return FiniteGroup(f"cyclic:{k}", elements, table)
+    return _group(f"cyclic:{k}", range(k), lambda a, b: (a + b) % k)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of 0..n-1, each named by its image string."""
     if n < 1:
         raise ValueError("symmetric group degree must be >= 1")
-    perms = list(itertools.permutations(range(n)))
-    name = lambda p: "".join(map(str, p))
-    table = {}
-    for p, q in itertools.product(perms, repeat=2):
-        composed = tuple(p[q[i]] for i in range(n))  # apply q first, then p
-        table[(name(p), name(q))] = name(composed)
-    return FiniteGroup(f"sym:{n}", [name(p) for p in perms], table)
+    perms = itertools.permutations(range(n))
+    compose = lambda p, q: tuple(p[i] for i in q)  # apply q first, then p
+    return _group(f"sym:{n}", perms, compose, lambda p: "".join(map(str, p)))
 
 
 def klein_four_group() -> FiniteGroup:
     # Indexing by bit pairs makes the group law exclusive-or.
-    elements = ["e", "a", "b", "c"]
-    idx = {x: i for i, x in enumerate(elements)}
-    table = {
-        (x, y): elements[idx[x] ^ idx[y]] for x in elements for y in elements
-    }
-    return FiniteGroup("klein", elements, table)
+    return _group("klein", range(4), operator.xor, "eabc".__getitem__)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    elements = [f"{a}|{b}" for a in g.elements for b in h.elements]
-    table = {}
-    for a1, b1 in itertools.product(g.elements, h.elements):
-        for a2, b2 in itertools.product(g.elements, h.elements):
-            table[(f"{a1}|{b1}", f"{a2}|{b2}")] = f"{g.mul(a1, a2)}|{h.mul(b1, b2)}"
-    return FiniteGroup(f"({g.name})x({h.name})", elements, table)
+    pairs = itertools.product(g.elements, h.elements)
+    mul = lambda x, y: (g.mul(x[0], y[0]), h.mul(x[1], y[1]))
+    return _group(f"({g.name})x({h.name})", pairs, mul, lambda x: f"{x[0]}|{x[1]}")
+
+
+def _group(name: str, values: Iterable, op: Callable, label: Callable = str) -> FiniteGroup:
+    """The group ``name`` of ``values`` under ``op``: each value is named by
+    its ``label``, and the elements keep the order of ``values``."""
+    values = list(values)
+    table = {(label(a), label(b)): label(op(a, b)) for a in values for b in values}
+    return FiniteGroup(name, map(label, values), table)
 
 
 Perm = dict[EdgeId, EdgeId]
@@ -287,12 +282,12 @@ def _check_compatible(f: BimodularGraph, g: BimodularGraph) -> None:
     """The groups at each shared vertex must agree.  Edge ids may be
     shared: an id used by both operands names two edges, one per side,
     each acted on by its own side's tables."""
-    for v in f.graph.vertices & g.graph.vertices:
-        if f.groups[v] != g.groups[v]:
-            raise IncompatibleGroupsError(
-                f"groups at shared vertex {v!r} differ: "
-                f"{f.groups[v]!r} vs {g.groups[v]!r}"
-            )
+    differ = [v for v in f.graph.vertices & g.graph.vertices if f.groups[v] != g.groups[v]]
+    if differ:
+        v = min(differ, key=_order_key)  # the least, whatever the set order
+        raise IncompatibleGroupsError(
+            f"groups at shared vertex {v!r} differ: {f.groups[v]!r} vs {g.groups[v]!r}"
+        )
 
 
 def bimod_compose2(f: BimodularGraph, g: BimodularGraph) -> BimodularGraph:

@@ -30,7 +30,7 @@ from .execution import (
     graphs_equal_flattened,
 )
 from .formats import render_bimodular, render_cobordism, render_graph
-from .functor import check_faithfulness, check_functoriality
+from .functor import _wagered_images, check_faithfulness, check_functoriality
 from .graph import DIRECTED, Graph, InfiniteCycleSetError, InfinitePathSetError
 
 _SEED_STRIDE = 1_000_003
@@ -282,7 +282,7 @@ def campaign_faithful(bound: int = 6) -> CampaignResult:
             images_by_size[total] = max(
                 images_by_size.get(total, 0), report.details["distinct_images"]
             )
-        return report.passed, report.render_text
+        return report.passed, functools.partial(_collision_replay, a, b, report)
 
     hom_sets = (
         functools.partial(check, a_size, total - a_size)
@@ -292,6 +292,16 @@ def campaign_faithful(bound: int = 6) -> CampaignResult:
     result = _campaign("faithful", hom_sets)
     result.notes["images_by_boundary_size"] = dict(sorted(images_by_size.items()))
     return result
+
+
+def _collision_replay(a: frozenset, b: frozenset, report) -> str:
+    """The first two morphisms from a to b with one wagered image, as cob
+    blocks M and N; the report itself when no two collide, which fails
+    only for a missing plain-functor witness."""
+    collision = _wagered_images(cob0_enumerate(a, b, _FUNCTOR_CIRCLES))[1]
+    if collision is None:
+        return report.render_text()
+    return _render_all(render_cobordism, "MN", collision)
 
 
 def campaign_bimod_degeneracy(

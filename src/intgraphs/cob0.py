@@ -23,6 +23,7 @@ alternating chains, each of which becomes a new circle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -63,12 +64,10 @@ class Cob0Morphism:
         mates: dict = {}
         for pair in self.pairs:
             if len(pair) != 2:
-                raise ValueError(f"pair {set(pair)!r} must contain two distinct points")
+                raise ValueError(_matching_fault(self.pairs))
             p, q = pair
             if p in mates or q in mates:
-                raise ValueError(
-                    f"boundary point {p if p in mates else q!r} occurs in two pairs"
-                )
+                raise ValueError(_matching_fault(self.pairs))
             mates[p] = q
             mates[q] = p
         points = {(SRC, a) for a in self.source}
@@ -88,6 +87,19 @@ class Cob0Morphism:
 
     def mate(self, point: TaggedPoint) -> TaggedPoint:
         return self._mates[point]
+
+
+def _matching_fault(pairs: frozenset[frozenset]) -> str:
+    """Why ``pairs`` is no matching, named the same whatever the set order:
+    the least pair that is not two points, else the least point in two
+    pairs."""
+    bad = [show_items(pair) for pair in pairs if len(pair) != 2]
+    if bad:
+        return f"pair {min(bad)} must contain two distinct points"
+    seen, repeated = set(), set()
+    for p in itertools.chain.from_iterable(pairs):
+        (repeated if p in seen else seen).add(p)
+    return f"boundary point {min(repeated, key=_order_key)!r} occurs in two pairs"
 
 
 def _pairs_from(pairs: Iterable[Iterable[TaggedPoint]]) -> frozenset:
@@ -209,11 +221,11 @@ def decompose_segment(
         if (p in m._mates and p[0] == SRC) or (p in n._mates and p[0] == TGT)
     ]
     if len(outer) != 2:
-        raise NotACompositeError(f"{set(pair)!r} is not two outer boundary points")
+        raise NotACompositeError(f"{show_items(pair)} is not two outer boundary points")
     start = min(pair, key=_order_key)
     labels, end = _chase(m, n, start)
     if pair != {start, end}:
-        raise NotACompositeError(f"{set(pair)!r} is not a pair of the composite")
+        raise NotACompositeError(f"{show_items(pair)} is not a pair of the composite")
     segments = []
     in_m, cur = start[0] == SRC, start
     for x in labels:

@@ -70,12 +70,7 @@ def _executed_graph(g: Graph, h: Graph, paths: Sequence[Path]) -> Graph:
             g.vertices ^ h.vertices, [(p.flat_id, p.source, p.target) for p in paths]
         )
     except DuplicateEdgeIdError as exc:
-        seen = set()
-        for path in paths:  # stops at the path that Graph rejected
-            if path.flat_id in seen:
-                break
-            seen.add(path.flat_id)
-        shared = set(path.flat_id) & _base_ids(g) & _base_ids(h)
+        shared = set(exc.edge_id) & _base_ids(g) & _base_ids(h)
         if not shared:
             raise
         raise PreconditionViolationError(

@@ -23,7 +23,7 @@ from typing import Any
 
 from .cob0 import SRC, Cob0Morphism, cob0_compose, cob0_enumerate
 from .execution import CheckReport
-from .graph import DIRECTED, UNORIENTED, Edge, ExtNat, Graph, _order_key
+from .graph import DIRECTED, UNORIENTED, Edge, ExtNat, Graph, _order_key, show_items
 from .interaction import (
     IntMorphism,
     Project,
@@ -147,15 +147,7 @@ def check_faithfulness(source, target, max_circles: int) -> CheckReport:
     their graph.
     """
     morphisms = cob0_enumerate(source, target, max_circles)
-    images: dict[Project, Cob0Morphism] = {}
-    first_collision = None
-    for m in morphisms:
-        image = functor_bar(m)
-        if image not in images:
-            images[image] = m
-        elif first_collision is None:
-            first_collision = (images[image], m)
-
+    images, first_collision = _wagered_images(morphisms)
     witness_found = len({image.graph for image in images}) < len(morphisms)
     details = {
         "hom_size": len(morphisms),
@@ -167,5 +159,30 @@ def check_faithfulness(source, target, max_circles: int) -> CheckReport:
         passed = False
         details["error"] = "expected a graph-only collision witness"
     if first_collision is not None:
-        details["first_collision"] = str(first_collision)
+        details["first_collision"] = "({}, {})".format(*map(_ordered_repr, first_collision))
     return CheckReport("faithfulness", passed, details)
+
+
+def _wagered_images(morphisms: list[Cob0Morphism]) -> tuple[dict, tuple | None]:
+    """Each wagered image with the first morphism that has it, and the
+    first two morphisms, in list order, that share an image (None if no
+    two do)."""
+    images: dict[Project, Cob0Morphism] = {}
+    first_collision = None
+    for m in morphisms:
+        image = functor_bar(m)
+        if image not in images:
+            images[image] = m
+        elif first_collision is None:
+            first_collision = (images[image], m)
+    return images, first_collision
+
+
+def _ordered_repr(m: Cob0Morphism) -> str:
+    """The repr of m with every set listed in `_order_key` order, so the
+    text does not depend on the hash seed."""
+    pairs = sorted((sorted(pair, key=_order_key) for pair in m.pairs), key=_order_key)
+    return (
+        f"Cob0Morphism(source={show_items(m.source)}, target={show_items(m.target)}, "
+        f"pairs={pairs!r}, circles={m.circles!r})"
+    )

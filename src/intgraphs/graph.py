@@ -47,7 +47,15 @@ class GraphError(ValueError):
 
 
 class DuplicateEdgeIdError(GraphError):
-    pass
+    """Two edges of one graph share an id, kept as ``edge_id``."""
+
+    def __init__(self, edge_id: EdgeId):
+        super().__init__(f"duplicate edge id {edge_id!r}")
+        self.edge_id = edge_id
+
+    def __reduce__(self):
+        # rebuilt from the id, not from the message in ``args``
+        return type(self), (self.edge_id,)
 
 
 class UnknownVertexError(GraphError):
@@ -113,7 +121,7 @@ class Graph:
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(*item)
             if e.id in by_id:
-                raise DuplicateEdgeIdError(f"duplicate edge id {e.id!r}")
+                raise DuplicateEdgeIdError(e.id)
             if e.src not in vs:
                 raise UnknownVertexError(f"edge {e.id!r}: unknown source vertex {e.src!r}")
             if e.tgt not in vs:

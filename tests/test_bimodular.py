@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -57,6 +58,35 @@ class TestFiniteGroup:
         z2z2 = direct_product(cyclic_group(2), cyclic_group(2))
         assert z2z2.order == 4
         assert z2z2.mul("1|0", "0|1") == "1|1"
+
+    def test_direct_product_of_int_element_groups(self):
+        z2 = FiniteGroup("z2", [0, 1], {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)})
+        product = direct_product(z2, z2)
+        assert product.elements == ("0|0", "0|1", "1|0", "1|1")
+        assert product.mul("1|0", "1|1") == "0|1"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetric_group_composes_right_to_left(self, n):
+        perms = list(itertools.permutations(range(n)))
+        name = lambda p: "".join(map(str, p))
+        sym = symmetric_group(n)
+        assert sym.elements == tuple(map(name, perms))
+        assert sym.identity == name(range(n))
+        for p, q in itertools.product(perms, repeat=2):
+            # (p q)(i) = p(q(i))
+            assert sym.mul(name(p), name(q)) == name([p[q[i]] for i in range(n)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_cyclic_group_table(self, k):
+        zk = cyclic_group(k)
+        assert zk.name == f"cyclic:{k}"
+        assert zk.elements == tuple(map(str, range(k)))
+        assert zk.table == {(str(a), str(b)): str((a + b) % k) for a in range(k) for b in range(k)}
+
+    def test_klein_four_table(self):
+        v4 = klein_four_group()
+        assert (v4.name, v4.elements, v4.identity) == ("klein", ("e", "a", "b", "c"), "e")
+        assert [v4.mul("a", x) for x in v4.elements] == ["a", "e", "c", "b"]
 
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from intgraphs.cli import main
 from intgraphs.cob0 import cob0_enumerate, cob0_identity
 from intgraphs.formats import parse_cobordism, parse_graph
 from intgraphs.functor import check_functoriality
-from intgraphs.graph import DIRECTED
+from intgraphs.graph import DIRECTED, ExtNat, Graph
+from intgraphs.interaction import Project
 
 
 def split_blocks(text: str, keyword: str = "graph") -> list[str]:
@@ -297,6 +298,30 @@ def test_functor_failure_replays(monkeypatch, capsys):
     assert main(["check", "functor", "--exhaustive-bound", "1"]) == 1
     out = capsys.readouterr().out
     assert "functor: FAIL" in out and result.counterexample in out
+
+
+def test_faithful_failure_replays(monkeypatch, capsys):
+    # plant a fault: every morphism has the same wagered image
+    constant = lambda m: Project(ExtNat(0), Graph.empty())
+    monkeypatch.setattr(functor, "functor_bar", constant)
+    result = campaigns.campaign_faithful(bound=2)
+    assert result.verdict == "FAIL"
+    m, n = (parse_cobordism(b)[1] for b in split_blocks(result.counterexample, "cob"))
+    # the first hom-set, from the empty object to itself, collides first
+    empty = frozenset()
+    assert [m, n] == cob0_enumerate(empty, empty, 2)[:2]
+
+    assert main(["check", "faithful", "--exhaustive-bound", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "faithful: FAIL" in out and result.counterexample in out
+
+
+def test_faithful_missing_witness_prints_the_report(monkeypatch):
+    # plant a fault: every morphism has its own graph, so no two share one
+    monkeypatch.setattr(functor, "functor_bar", lambda m: Project(ExtNat(0), Graph({m})))
+    result = campaigns.campaign_faithful(bound=0)
+    assert result.verdict == "FAIL"
+    assert "error = expected a graph-only collision witness" in result.counterexample
 
 
 def test_trefoil_failure_replays(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from intgraphs import execution
@@ -82,6 +84,19 @@ class TestExecute:
         with pytest.raises(DuplicateEdgeIdError) as err:
             execute(G, H)
         assert str(err.value) == "duplicate edge id ('x',)"
+
+    def test_duplicate_error_keeps_the_repeated_flat_id(self):
+        G = g({"a", "b", "p", "m"}, [("x", "a", "b"), (("x",), "a", "b"), ("z", "p", "m")])
+        H = g({"m", "q"}, [("z", "m", "q")])
+        with pytest.raises(DuplicateEdgeIdError) as err:
+            execute(G, H)
+        assert err.value.edge_id == ("x",)
+        with pytest.raises(DuplicateEdgeIdError) as err:
+            Graph({"a"}, [((1, "e"), "a", "a"), ((1, "e"), "a", "a")])
+        assert err.value.edge_id == (1, "e")
+        assert str(err.value) == "duplicate edge id (1, 'e')"
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (copy.edge_id, str(copy)) == ((1, "e"), "duplicate edge id (1, 'e')")
 
     def test_shared_id_on_distinct_paths_still_executes(self):
         G = g({"a", "m"}, [("e", "a", "m")])

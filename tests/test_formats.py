@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from intgraphs.bimodular import BimodularGraph, FiniteGroup, cyclic_group, klein_four_group
+from intgraphs.bimodular import (
+    BimodularGraph,
+    FiniteGroup,
+    bimod_compose2,
+    bimod_execute,
+    check_well_defined,
+    cyclic_group,
+    klein_four_group,
+)
 from intgraphs.cob0 import (
     cob0_enumerate,
     cob0_identity,
@@ -627,12 +635,28 @@ class TestSampleFiles:
             seen += 1
         assert seen >= 8
 
-    def test_swap_samples_compose_to_one_edge(self):
-        from intgraphs.bimodular import bimod_compose2
+    def _swap_samples(self):
+        return [
+            parse_bimodular((self.SAMPLES / f"swap_{side}.bimod").read_text())[1]
+            for side in ("left", "right")
+        ]
 
-        _, left = parse_bimodular((self.SAMPLES / "swap_left.bimod").read_text())
-        _, right = parse_bimodular((self.SAMPLES / "swap_right.bimod").read_text())
-        assert len(bimod_compose2(left, right).graph.edges) == 1
+    def test_swap_samples_compose_to_one_edge(self):
+        # the middle group swaps e1 and e2, so e1.f and e2.f are one orbit
+        left, right = self._swap_samples()
+        for op in (bimod_compose2, bimod_execute):
+            result = op(left, right)
+            assert [(e.id, e.src, e.tgt) for e in result.graph.edges] == [(("e1", "f"), "v", "w")]
+            assert result.graph.vertices == {"v", "w"}
+
+    def test_swap_samples_are_well_defined_and_read_back(self):
+        left, right = self._swap_samples()
+        report = check_well_defined(left, right)
+        assert report.passed and report.details["paths"] == 2
+        for bg in (left, right):
+            _, back = parse_bimodular(render_bimodular("swap", bg))
+            assert back.graph == bg.graph and back.groups == bg.groups
+            assert (back.left, back.right) == (bg.left, bg.right)
 
 
 @pytest.mark.parametrize("name", ["a#b", "my graph", ""])

@@ -229,10 +229,10 @@ class TestFaithfulness:
         monkeypatch.setattr(functor, "functor_bar", lambda m: Project(ExtNat(0), Graph.empty()))
         report = check_faithfulness({"a"}, {"b"}, 1)
         assert report.verdict == "FAIL"
-        first, second = cob0_enumerate({"a"}, {"b"}, 1)[:2]
+        morphism = "Cob0Morphism(source=['a'], target=['b'], pairs=[[('src', 'a'), ('tgt', 'b')]], circles={})"
         assert report.details == {
             "hom_size": 2, "distinct_images": 1, "plain_functor_witness": True,
-            "first_collision": str((first, second)),
+            "first_collision": f"({morphism.format(0)}, {morphism.format(1)})",
         }
 
     def test_failure_when_the_plain_functor_witness_is_missing(self, monkeypatch):
