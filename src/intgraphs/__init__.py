@@ -56,7 +56,6 @@ from .interaction import (
     IntMorphism,
     InterfaceMismatchError,
     Project,
-    endpoint_form,
     int_compose,
     int_identity,
     interface_measure,

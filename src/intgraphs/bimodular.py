@@ -107,6 +107,8 @@ class FiniteGroup:
         return self.order == 1
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return (
@@ -230,7 +232,7 @@ class BimodularGraph:
     constructor then checks that the two sides commute.
     """
 
-    __slots__ = ("graph", "groups", "left", "right", "_edge_sets")
+    __slots__ = ("graph", "groups", "left", "right")
 
     def __init__(
         self,
@@ -246,17 +248,17 @@ class BimodularGraph:
                 raise IncompatibleGroupsError(f"group assigned to unknown vertex {v!r}")
         trivial = trivial_group()
         self.groups = {v: given.get(v, trivial) for v in graph.vertices}
-        self._edge_sets = _edge_sets_of(graph)
+        edge_sets = _edge_sets_of(graph)
 
         left, right = left or {}, right or {}
         for tables in (left, right):
             for pair, table in tables.items():
-                if table and pair not in self._edge_sets:
+                if table and pair not in edge_sets:
                     raise IncompatibleActionsError(
                         f"action given for vertex pair {pair!r} with no edges"
                     )
         self.left, self.right = {}, {}
-        for pair, ids in self._edge_sets.items():
+        for pair, ids in edge_sets.items():
             lact = _action(self.groups[pair[0]], ids, left.get(pair, {}), False, pair)
             ract = _action(self.groups[pair[1]], ids, right.get(pair, {}), True, pair)
             self.left[pair], self.right[pair] = lact, ract
@@ -267,12 +269,6 @@ class BimodularGraph:
                             f"left action of {g!r} and right action of {h!r} do "
                             f"not commute on edge set {pair!r}"
                         )
-
-    def edge_set(self, v: Vertex, w: Vertex) -> tuple[EdgeId, ...]:
-        return self._edge_sets.get((v, w), ())
-
-    def all_groups_trivial(self) -> bool:
-        return all(grp.is_trivial() for grp in self.groups.values())
 
     def __repr__(self) -> str:
         return f"BimodularGraph({self.graph!r})"

@@ -329,14 +329,6 @@ class Path:
         return path
 
     @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(e for _, e in self.steps)
-
-    @property
-    def sides(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.steps)
-
-    @property
     def source(self) -> Vertex:
         return self.steps[0][1].src
 
@@ -378,27 +370,15 @@ class DerivedGraph:
     boundary-to-boundary walks are exactly the maximal finite alternating
     paths.
 
-    ``arcs``, ``initial`` and ``final`` are node-keyed views computed from
-    the arrays on access.
+    ``succ`` lists are shared: every node with no arcs gets one list,
+    ``no_arcs``, and the nodes of one side with one target share the list
+    of the other side's nodes leaving that target.  Do not mutate them.
     """
 
     nodes: tuple[DerivedNode, ...]
     succ: list[list[int]]
     is_initial: list[bool]
     is_final: list[bool]
-
-    @property
-    def arcs(self) -> dict[DerivedNode, tuple[DerivedNode, ...]]:
-        nodes = self.nodes
-        return {node: tuple(nodes[j] for j in out) for node, out in zip(nodes, self.succ)}
-
-    @property
-    def initial(self) -> frozenset:
-        return frozenset(n for n, flag in zip(self.nodes, self.is_initial) if flag)
-
-    @property
-    def final(self) -> frozenset:
-        return frozenset(n for n, flag in zip(self.nodes, self.is_final) if flag)
 
 
 def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
@@ -624,13 +604,6 @@ class CycleClass:
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e.id for _, e in self.steps)
-
-    def is_own_reversal(self) -> bool:
-        """True when the cycle traversed backwards over opposite edges
-        (same side, swapped endpoints) is itself, up to rotation."""
-        word = [(side, e.src, e.tgt) for side, e in self.steps]
-        back = [(side, e.tgt, e.src) for side, e in reversed(self.steps)]
-        return any(word[k:] + word[:k] == back for k in range(len(word)))
 
     def __len__(self) -> int:
         return len(self.steps)

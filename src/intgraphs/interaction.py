@@ -11,7 +11,6 @@ the interaction.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -22,7 +21,6 @@ from .graph import (
     Graph,
     GraphError,
     _order_key,
-    flatten,
     show_items,
 )
 from .execution import execute, measure
@@ -128,22 +126,6 @@ def interface_measure(f: IntMorphism, g: IntMorphism, mode: str = DIRECTED) -> E
     """Prime-cycle count of the interaction across the shared interface."""
     left, right = _interface_rename(f, g)
     return measure(left, right, mode)
-
-
-def strip_identity_edges(flat_id: tuple) -> tuple:
-    return tuple(x for x in flat_id if not isinstance(x, IdentityEdgeId))
-
-
-def endpoint_form(m: IntMorphism, strip_identities: bool = False) -> Counter:
-    """Multiset of (flattened id, source, target) over the morphism graph,
-    optionally erasing identity arcs from the flattened ids."""
-    out: Counter = Counter()
-    for e in m.graph.edges:
-        fid = flatten(e.id)
-        if strip_identities:
-            fid = strip_identity_edges(fid)
-        out[(fid, e.src, e.tgt)] += 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,19 @@ chasing chains.  The rotation oracle computes every rotation's node keys in
 full instead of comparing derived-graph node numbers.  The bimodular oracle
 applies every tuple of junction elements to a path at once and takes the
 orbits as union-find components, instead of closing orbits move by move.
+The reversal oracle matches one cycle against another read backwards at
+every rotation, step by step.  The erased endpoint form is the one in which
+the identity laws of interaction morphisms hold.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from intgraphs.cob0 import SRC, TGT, Cob0Morphism
 from intgraphs.graph import Graph, flatten
+from intgraphs.interaction import IdentityEdgeId, IntMorphism
 
 INFINITE = "infinite"
 FINITE = "finite"
@@ -190,6 +194,29 @@ def oracle_cob0_compose(m: Cob0Morphism, n: Cob0Morphism):
         else:
             circles += 1
     return frozenset(pairs), circles
+
+
+def reverses(a, b) -> bool:
+    """Brute force: after some rotation, each step of b traverses an
+    opposite edge (same side, swapped endpoints) of the corresponding step
+    of a read backwards."""
+    back = tuple(reversed(a))
+    return len(a) == len(b) and any(
+        all(
+            sb == sa and eb.src == ea.tgt and eb.tgt == ea.src
+            for (sa, ea), (sb, eb) in zip(back, b[k:] + b[:k])
+        )
+        for k in range(len(b))
+    )
+
+
+def erased_endpoints(m: IntMorphism) -> Counter:
+    """The multiset of (flattened id, source, target) over m's edges, with
+    identity arcs erased from the flattened ids."""
+    return Counter(
+        (tuple(x for x in flatten(e.id) if not isinstance(x, IdentityEdgeId)), e.src, e.tgt)
+        for e in m.graph.edges
+    )
 
 
 def rotation_by_full_keys(seq):

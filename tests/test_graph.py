@@ -28,7 +28,14 @@ from intgraphs.graph import (
     prime_cycles,
 )
 
-from oracle import FINITE, INFINITE, oracle_cycles, oracle_paths, rotation_by_full_keys
+from oracle import (
+    FINITE,
+    INFINITE,
+    oracle_cycles,
+    oracle_paths,
+    reverses,
+    rotation_by_full_keys,
+)
 
 
 def g(vertices, edges=()):
@@ -167,18 +174,19 @@ class TestDerivedGraph:
         dg = derived_graph(G, H)
         e = (0, G.edge("e"))
         f = (1, H.edge("f"))
-        assert dg.arcs[e] == (f,)
-        assert dg.arcs[f] == ()
-        assert dg.initial == {e}
-        assert dg.final == {f}
+        assert dg.nodes == (e, f)
+        assert dg.succ == [[1], []]
+        assert dg.is_initial == [True, False]
+        assert dg.is_final == [False, True]
 
     def test_empty_second_graph(self):
         G = g({"a", "b"}, [("e", "a", "b")])
         H = Graph.empty()
         dg = derived_graph(G, H)
         e = (0, G.edge("e"))
-        assert dg.arcs[e] == ()
-        assert dg.initial == dg.final == {e}
+        assert dg.nodes == (e,)
+        assert dg.succ == [[]]
+        assert dg.is_initial == dg.is_final == [True]
 
     def test_two_cycle_has_no_boundary_nodes(self):
         G = g({"a", "b"}, [("e", "a", "b")])
@@ -186,10 +194,9 @@ class TestDerivedGraph:
         dg = derived_graph(G, H)
         e = (0, G.edge("e"))
         f = (1, H.edge("f"))
-        assert dg.arcs[e] == (f,)
-        assert dg.arcs[f] == (e,)
-        assert dg.initial == frozenset()
-        assert dg.final == frozenset()
+        assert dg.nodes == (e, f)
+        assert dg.succ == [[1], [0]]
+        assert dg.is_initial == dg.is_final == [False, False]
 
 
 class TestAlternatingPaths:
@@ -239,7 +246,7 @@ class TestAlternatingPaths:
         paths = alternating_paths(G, H)
         assert sorted(p.flat_id for p in paths) == [("e1", "f1", "e2", "f2"), ("e1", "f3", "e3")]
         for p in paths:
-            sides = p.sides
+            sides = [side for side, _ in p.steps]
             assert len(sides) == len(p.steps) >= 3
             assert all(x != y for x, y in zip(sides, sides[1:]))
 
@@ -374,7 +381,7 @@ class TestPrimeCycles:
         directed = prime_cycles(G, H, DIRECTED)
         unoriented = prime_cycles(G, H, UNORIENTED)
         assert len(directed) == len(unoriented) == 1
-        assert directed[0].is_own_reversal()
+        assert reverses(directed[0].steps, directed[0].steps)
 
     def test_one_reversed_step_does_not_make_a_reversal(self):
         # Only e1 has an opposite edge on a cycle: r, on the 2-cycle r k.
@@ -385,7 +392,7 @@ class TestPrimeCycles:
         unoriented = prime_cycles(G, H, UNORIENTED)
         expected = [("e1", "f1", "e3", "f2"), ("k", "r")]
         assert [c.edge_ids for c in directed] == [c.edge_ids for c in unoriented] == expected
-        assert not directed[0].is_own_reversal()
+        assert not reverses(directed[0].steps, directed[0].steps)
 
     def test_canonical_form_is_rotation_invariant(self):
         G = g({"a", "b", "c", "d"}, [("e1", "a", "b"), ("e2", "c", "d")])

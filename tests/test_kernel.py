@@ -130,7 +130,7 @@ def test_paths_through_a_shared_nan_vertex_pass_the_public_check():
 def _assert_paths_checked_with_flat_ids_and_sorted(g: Graph, h: Graph) -> list[Path]:
     paths = alternating_paths(g, h)
     for p in paths:
-        assert p.flat_id == flatten(tuple(e.id for e in p.edges))
+        assert p.flat_id == flatten(tuple(e.id for _, e in p.steps))
         # the walk checked each junction once; the full check agrees
         assert Path(p.steps) == p
     # node order: each path's node-number sequence exceeds the previous one's

@@ -22,7 +22,7 @@ from intgraphs.graph import (
 )
 from intgraphs.interaction import IdentityEdgeId, Project, project_execute, project_unit
 
-from oracle import FINITE, oracle_cycles, oracle_paths, rotation_by_full_keys
+from oracle import FINITE, oracle_cycles, oracle_paths, reverses, rotation_by_full_keys
 
 nested_ids = st.recursive(
     st.text(alphabet="abcdef", min_size=1, max_size=3),
@@ -102,20 +102,6 @@ def test_path_count_matches_oracle(seed):
     assert len(paths) == len(walks)
 
 
-def _reverses(a, b) -> bool:
-    """Brute force: after some rotation, each step of b traverses an
-    opposite edge (same side, swapped endpoints) of the corresponding step
-    of a read backwards."""
-    back = tuple(reversed(a))
-    return len(a) == len(b) and any(
-        all(
-            sb == sa and eb.src == ea.tgt and eb.tgt == ea.src
-            for (sa, ea), (sb, eb) in zip(back, b[k:] + b[:k])
-        )
-        for k in range(len(b))
-    )
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=80, deadline=None)
 def test_measure_mode_relation(seed):
@@ -132,9 +118,8 @@ def test_measure_mode_relation(seed):
     paired = 0
     for i, c in enumerate(classes):
         partners = [
-            d for j, d in enumerate(classes) if j != i and _reverses(c.steps, d.steps)
+            d for j, d in enumerate(classes) if j != i and reverses(c.steps, d.steps)
         ]
-        assert c.is_own_reversal() == _reverses(c.steps, c.steps)
         assert len(partners) <= 1
         if partners:
             paired += 1
@@ -144,7 +129,7 @@ def test_measure_mode_relation(seed):
     assert paired % 2 == 0
     assert int(directed) - paired // 2 == int(unoriented)
     # when every class pairs with a distinct partner, the count halves
-    if paired == len(classes) and not any(c.is_own_reversal() for c in classes):
+    if paired == len(classes) and not any(reverses(c.steps, c.steps) for c in classes):
         assert int(directed) == 2 * int(unoriented)
 
 
