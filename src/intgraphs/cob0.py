@@ -8,16 +8,18 @@ union of A and B (the segments) plus a count of closed circles.  Boundary
 points carry side tags, so A and B may reuse labels, and a pair may sit
 entirely inside one side.
 
-Each morphism keeps its matching as a point -> mate table, filled in the
-same single pass over the pairs that checks each pair's size and rejects a
-point seen twice; one comparison of the table's keys with the boundary then
-finds unknown and missing points.  Composition glues along the shared
-middle object with one chase: from each outer boundary point, alternately
-follow the two tables through the middle (m's target point x is n's source
-point x) until another outer point is reached, recording only the middle
-labels passed.  The composite's pairs come out already tagged, and
-`decompose_segment` rebuilds a pair's operand segments from the same
-labels.  Middle points not on any such open chain lie on closed
+Each morphism keeps its matching as a point -> mate table.  The public
+constructor fills it in the same single pass over the pairs that checks
+each pair's size and rejects a point seen twice; one comparison of the
+table's keys with the boundary then finds unknown and missing points.
+Composition glues along the shared middle object with one chase: from each
+outer boundary point, alternately follow the two tables through the middle
+(m's target point x is n's source point x) until another outer point is
+reached, recording only the middle labels passed.  The composite's pairs
+come out already tagged, and `decompose_segment` rebuilds a pair's operand
+segments from the same labels.  The composite's mate table comes from the
+chase too, which records both ends of each chain, so the composite is not
+checked again.  Middle points not on any such open chain lie on closed
 alternating chains, each of which becomes a new circle.
 """
 
@@ -50,7 +52,14 @@ def target_point(label: Any) -> TaggedPoint:
 
 @dataclass(frozen=True)
 class Cob0Morphism:
-    """A perfect matching on the tagged boundary points plus a circle count."""
+    """A perfect matching on the tagged boundary points plus a circle count.
+
+    ``Cob0Morphism(...)`` checks the circle count and that the pairs match
+    every boundary point exactly once (ValueError), and builds the mate
+    table.  The composites of `cob0_compose` are built by `_glued`, which
+    checks nothing: the chase pairs every outer point with the other end
+    of its chain, once each, and fills the mate table as it goes.
+    """
 
     source: frozenset
     target: frozenset
@@ -58,9 +67,7 @@ class Cob0Morphism:
     circles: int = 0
 
     def __post_init__(self) -> None:
-        circles = self.circles
-        if isinstance(circles, bool) or not isinstance(circles, int) or circles < 0:
-            raise ValueError(f"circle count must be an int >= 0, got {circles!r}")
+        _check_count("circle count", self.circles)
         mates: dict = {}
         for pair in self.pairs:
             if len(pair) != 2:
@@ -85,8 +92,33 @@ class Cob0Morphism:
         # Not a field, so equality, hashing and repr still see only the pairs.
         object.__setattr__(self, "_mates", mates)
 
+    @classmethod
+    def _glued(
+        cls,
+        source: frozenset,
+        target: frozenset,
+        pairs: frozenset[frozenset],
+        circles: int,
+        mates: dict,
+    ) -> Cob0Morphism:
+        """A morphism whose matching the caller has checked, with its mate
+        table filled in; nothing is checked or computed here."""
+        morphism = object.__new__(cls)
+        fields = morphism.__dict__
+        fields["source"] = source
+        fields["target"] = target
+        fields["pairs"] = pairs
+        fields["circles"] = circles
+        fields["_mates"] = mates
+        return morphism
+
     def mate(self, point: TaggedPoint) -> TaggedPoint:
         return self._mates[point]
+
+
+def _check_count(name: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 def _matching_fault(pairs: frozenset[frozenset]) -> str:
@@ -158,14 +190,15 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     chains each contribute one circle on top of the operands' counts.
     """
     _check_interface(m, n)
-    ends: set = set()
+    ends: dict = {}  # the composite's mate table
     walked: set = set()  # middle labels already on some chain
     new_pairs = []
     for p in [(SRC, a) for a in m.source] + [(TGT, c) for c in n.target]:
         if p in ends:
             continue
         labels, end = _chase(m, n, p)
-        ends.add(end)
+        ends[p] = end
+        ends[end] = p
         walked.update(labels)
         new_pairs.append(frozenset((p, end)))
 
@@ -183,8 +216,8 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
             if cur == b:
                 break
 
-    return Cob0Morphism(
-        m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed
+    return Cob0Morphism._glued(
+        m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed, ends
     )
 
 
@@ -254,8 +287,10 @@ def cob0_enumerate(
     """Every morphism from source to target with at most max_circles
     circles: all (|A|+|B|-1)!! perfect matchings times each circle count.
 
-    Empty when |A|+|B| is odd.
+    Empty when |A|+|B| is odd.  Raises ValueError unless max_circles is
+    an int >= 0 (not a bool).
     """
+    _check_count("max_circles", max_circles)
     src = frozenset(source)
     tgt = frozenset(target)
     points = sorted(

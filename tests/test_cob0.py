@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from intgraphs import cob0
 from intgraphs.cob0 import (
     AlternatingDecomposition,
     Cob0Morphism,
@@ -17,10 +18,19 @@ from intgraphs.cob0 import (
     source_point as sp,
     target_point as tp,
 )
+from intgraphs.functor import fundamental_graph
 from intgraphs.graph import InvariantViolationError
 from intgraphs.interaction import InterfaceMismatchError
 
 from oracle import oracle_cob0_compose
+
+
+# Objects A, B, C whose middles B are larger than 3 points.
+LONG_CHAIN_OBJECTS = [
+    ((), (1, "1", "a", "b"), ()),
+    ((1,), (1, "1", "a", "b"), ("1", "a", "b")),
+    ((), ("0", 1, 2, 3, 4, 5), ()),
+]
 
 
 def cap_cup_pair():
@@ -168,6 +178,12 @@ class TestEnumerate:
         out = cob0_enumerate({"a1", "a2", "a3"}, {"b1", "b2", "b3"}, max_circles=0)
         assert len(out) == 15
         assert len(set(out)) == 15
+
+    @pytest.mark.parametrize("max_circles", [-1, True, 1.0])
+    def test_max_circles_must_be_a_non_bool_int_at_least_0(self, max_circles):
+        with pytest.raises(ValueError) as err:
+            cob0_enumerate({"a"}, {"a"}, max_circles)
+        assert str(err.value) == f"max_circles must be an int >= 0, got {max_circles!r}"
 
 
 class TestDecompose:
@@ -352,14 +368,7 @@ class TestAgainstOracle:
                     compared += 1
         assert compared == 23975
 
-    @pytest.mark.parametrize(
-        "a, b, c",
-        [
-            ((), (1, "1", "a", "b"), ()),
-            ((1,), (1, "1", "a", "b"), ("1", "a", "b")),
-            ((), ("0", 1, 2, 3, 4, 5), ()),
-        ],
-    )
+    @pytest.mark.parametrize("a, b, c", LONG_CHAIN_OBJECTS)
     def test_long_chains_through_larger_middles(self, a, b, c):
         # Middles of size <= 3 hold at most one pair of each operand on a
         # closed chain; these carry longer open and closed chains.
@@ -367,3 +376,52 @@ class TestAgainstOracle:
             for n in cob0_enumerate(b, c, 0):
                 comp = cob0_compose(m, n)
                 assert (comp.pairs, comp.circles) == oracle_cob0_compose(m, n)
+
+
+class TestGluedComposite:
+    """`cob0_compose` builds its composite through the trusted `_glued`;
+    rebuilding it through the public constructor gives the same value."""
+
+    @staticmethod
+    def _gluings():
+        objects = [frozenset(f"p{i}" for i in range(k)) for k in range(4)]
+        homs = {
+            (a, b): cob0_enumerate(a, b, 1)
+            for a, b in itertools.product(objects, repeat=2)
+        }
+        for a, b, c in itertools.product(objects, repeat=3):
+            for m in homs[a, b]:
+                for n in homs[b, c]:
+                    yield m, n
+        for a, b, c in LONG_CHAIN_OBJECTS:
+            for m in cob0_enumerate(a, b, 0):
+                for n in cob0_enumerate(b, c, 0):
+                    yield m, n
+
+    def test_composite_equals_its_public_rebuild(self, monkeypatch):
+        chases = 0
+        chase = cob0._chase
+
+        def counted_chase(m, n, start):
+            nonlocal chases
+            chases += 1
+            return chase(m, n, start)
+
+        monkeypatch.setattr(cob0, "_chase", counted_chase)
+        glued = 0
+        for m, n in self._gluings():
+            chases = 0
+            c = cob0_compose(m, n)
+            # one chase per open chain: its far end is not chased again
+            assert chases == len(c.pairs)
+            assert "_fundamental_graph" not in vars(c)
+            public = Cob0Morphism(c.source, c.target, c.pairs, c.circles)
+            assert c == public
+            assert hash(c) == hash(public)
+            assert repr(c) == repr(public)
+            assert c._mates == public._mates
+            for point in public._mates:
+                assert c.mate(point) == public.mate(point)
+            assert fundamental_graph(c) == fundamental_graph(public)
+            glued += 1
+        assert glued == 1440 + 9 + 225

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 from collections import Counter
 
+import pytest
+
 from intgraphs import functor
 from intgraphs.cob0 import (
     SRC,
@@ -223,6 +225,10 @@ class TestFaithfulness:
         report = check_faithfulness({"a"}, {"b"}, 0)
         assert report.passed
         assert report.details["hom_size"] == 1
+
+    def test_negative_circle_budget_is_rejected_not_vacuous(self):
+        with pytest.raises(ValueError, match="max_circles must be an int >= 0, got -1"):
+            check_faithfulness({"a"}, {"a"}, -1)
 
     def test_failure_names_the_first_collision(self, monkeypatch):
         # plant a fault: every morphism has the same image
