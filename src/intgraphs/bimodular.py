@@ -232,7 +232,7 @@ class BimodularGraph:
     constructor then checks that the two sides commute.
     """
 
-    __slots__ = ("graph", "groups", "left", "right")
+    __slots__ = ("graph", "groups", "left", "right", "_edges")
 
     def __init__(
         self,
@@ -242,6 +242,7 @@ class BimodularGraph:
         right: Mapping[tuple[Vertex, Vertex], ActionTable] | None = None,
     ):
         self.graph = graph
+        self._edges = {e.id: e for e in graph.edges}
         given = dict(groups or {})
         for v in given:
             if v not in graph.vertices:
@@ -317,7 +318,7 @@ def _moved(bgs: _Operands, step: tuple[int, Edge], x: str, right: bool) -> tuple
     action when not ``right``."""
     s, e = step
     bg = bgs[s]
-    return s, bg.graph.edge((bg.right if right else bg.left)[(e.src, e.tgt)][x][e.id])
+    return s, bg._edges[(bg.right if right else bg.left)[(e.src, e.tgt)][x][e.id]]
 
 
 def _act_at_junction(bgs: _Operands, steps: Steps, i: int, b: str) -> Steps:

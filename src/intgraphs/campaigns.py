@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 from .bimodular import (
     BimodularGraph, _edge_sets_of, bimod_execute, check_well_defined, cyclic_group,
 )
-from .cob0 import cob0_compose, cob0_enumerate, cob0_identity
+from .cob0 import _check_count, cob0_compose, cob0_enumerate, cob0_identity
 from .execution import (
     check_associativity,
     check_trefoil,
@@ -159,6 +159,7 @@ def _campaign(name: str, cases: Iterable[Callable[[], tuple]]) -> CampaignResult
 
 def _seeded(trials: int, seed: int, run_one) -> Iterator[Callable[[], tuple]]:
     """The cases of a random campaign: ``run_one`` on each trial's generator."""
+    _check_count("trials", trials)
     return (functools.partial(run_one, trial_rng(seed, i)) for i in range(trials))
 
 
@@ -200,6 +201,7 @@ _FUNCTOR_CIRCLES = 2
 
 def _hom_sets(bound: int, max_circles: int) -> tuple[list[frozenset], dict]:
     """Objects of size <= bound and every hom-set between them."""
+    _check_count("bound", bound)
     objects = [frozenset(f"p{i}" for i in range(k)) for k in range(bound + 1)]
     homs = {
         (a, b): cob0_enumerate(a, b, max_circles)
@@ -271,6 +273,7 @@ def campaign_functor(bound: int = 3) -> CampaignResult:
 def campaign_faithful(bound: int = 6) -> CampaignResult:
     """Injectivity of the wagered functor on every hom-set with
     |A| + |B| <= bound, recording image counts per boundary size."""
+    _check_count("bound", bound)
     images_by_size: dict[int, int] = {}
 
     def check(a_size: int, b_size: int):

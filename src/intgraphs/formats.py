@@ -20,8 +20,8 @@ Projects add `wager <n|omega>` to a graph block.  Cobordisms:
 it names a point on exactly one side.  A graph declares each vertex
 once; a cobordism lists each label at most once per side, over any
 number of `left` and `right` lines.  Each point takes at most one `pair`
-line, and a block at most one `cob` line.  Bimodular graphs extend the
-graph block:
+line, and a block at most one `cob` line and at most one `circles`
+line.  Bimodular graphs extend the graph block:
 
     group v cyclic:2
     group w table e,a;a,e
@@ -111,10 +111,8 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
     """Parse graph directives, collecting any directives named in ``allow``
     for the caller."""
     name = None
-    vertices: list = []
-    vertex_set: set = set()
-    edges: list[tuple] = []
-    edge_ids: set = set()
+    vertices: set = set()
+    edges: dict = {}  # id -> (id, src, tgt), in input order
     extra: list[tuple[int, str, list[str]]] = []
     for lineno, directive, args in _directives(text):
         if directive == "graph":
@@ -126,29 +124,27 @@ def _parse_graph_block(text: str, allow: tuple[str, ...]):
         elif directive == "vertex":
             if len(args) != 1:
                 raise ParseError("vertex expects exactly one id", lineno)
-            if args[0] in vertex_set:
+            if args[0] in vertices:
                 raise ParseError(f"duplicate vertex {args[0]!r}", lineno)
-            vertices.append(args[0])
-            vertex_set.add(args[0])
+            vertices.add(args[0])
         elif directive == "edge":
             if len(args) != 3:
                 raise ParseError("edge expects <id> <src> <tgt>", lineno)
             eid, src, tgt = args
-            if eid in edge_ids:
+            if eid in edges:
                 raise ParseError(f"duplicate edge id {eid!r}", lineno)
-            if src not in vertex_set:
+            if src not in vertices:
                 raise ParseError(f"edge {eid!r}: unknown source vertex {src!r}", lineno)
-            if tgt not in vertex_set:
+            if tgt not in vertices:
                 raise ParseError(f"edge {eid!r}: unknown target vertex {tgt!r}", lineno)
-            edge_ids.add(eid)
-            edges.append((eid, src, tgt))
+            edges[eid] = (eid, src, tgt)
         elif directive in allow:
             extra.append((lineno, directive, args))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
     if name is None:
         raise ParseError("missing graph declaration")
-    return name, Graph(vertices, edges), extra
+    return name, Graph(vertices, edges.values()), extra
 
 
 def _token_order(tokens: list[str], item: Callable[[int], Any], what: str,
@@ -276,7 +272,7 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
     left: set = set()
     right: set = set()
     pair_lines: list[tuple[int, list[str]]] = []
-    circles = 0
+    circles = None
     for lineno, directive, args in _directives(text):
         if directive == "cob":
             if len(args) != 1:
@@ -295,6 +291,8 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
                 raise ParseError("pair expects exactly two points", lineno)
             pair_lines.append((lineno, args))
         elif directive == "circles":
+            if circles is not None:
+                raise ParseError("duplicate circles declaration", lineno)
             if len(args) != 1 or not _is_natural(args[0]):
                 raise ParseError("circles expects one natural number", lineno)
             circles = int(args[0])
@@ -317,7 +315,7 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
             paired_on[point] = lineno
         pairs.append(frozenset(ends))
     try:
-        morphism = Cob0Morphism(frozenset(left), frozenset(right), frozenset(pairs), circles)
+        morphism = Cob0Morphism(frozenset(left), frozenset(right), frozenset(pairs), circles or 0)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return name, morphism

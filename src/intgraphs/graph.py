@@ -31,7 +31,7 @@ normal form that makes results of nested executions comparable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 Vertex = Hashable
@@ -80,6 +80,9 @@ class InfinitePathSetError(GraphError):
         ids = " ".join(repr(edge.id) for _, edge in self.witness)
         super().__init__(f"infinite alternating path set (pumpable cycle: {ids})")
 
+    def __reduce__(self):
+        return type(self), (self.witness,)
+
 
 class InfiniteCycleSetError(GraphError):
     """The prime alternating cycles form an infinite set.
@@ -97,8 +100,11 @@ class InfiniteCycleSetError(GraphError):
             f"component via {ids})"
         )
 
+    def __reduce__(self):
+        return type(self), (self.node, self.branches)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: EdgeId
     src: Vertex
@@ -112,32 +118,26 @@ class Graph:
     and endpoints must belong to the vertex set.
     """
 
-    __slots__ = ("vertices", "edges", "_by_id")
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge | tuple] = ()):
         vs = frozenset(vertices)
-        out: list[Edge] = []
-        by_id: dict[EdgeId, Edge] = {}
+        out: dict[EdgeId, Edge] = {}  # by id, in input order
         for item in edges:
             e = item if isinstance(item, Edge) else Edge(*item)
-            if e.id in by_id:
+            if e.id in out:
                 raise DuplicateEdgeIdError(e.id)
             if e.src not in vs:
                 raise UnknownVertexError(f"edge {e.id!r}: unknown source vertex {e.src!r}")
             if e.tgt not in vs:
                 raise UnknownVertexError(f"edge {e.id!r}: unknown target vertex {e.tgt!r}")
-            by_id[e.id] = e
-            out.append(e)
+            out[e.id] = e
         self.vertices = vs
-        self.edges = tuple(out)
-        self._by_id = by_id
+        self.edges = tuple(out.values())
 
     @classmethod
     def empty(cls) -> Graph:
         return cls(frozenset(), ())
-
-    def edge(self, edge_id: EdgeId) -> Edge:
-        return self._by_id[edge_id]
 
     def relabel_vertices(self, mapping: dict[Vertex, Vertex]) -> Graph:
         """Rename vertices through ``mapping`` (identity where missing).
@@ -298,7 +298,7 @@ def _check_junction(a: tuple[int, Edge], b: tuple[int, Edge]) -> None:
         raise InvariantViolationError(f"edges {ea.id!r}, {eb.id!r} do not alternate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """An alternating path: edges tagged 0/1 by owning graph.
 
@@ -308,24 +308,27 @@ class Path:
     `alternating_paths` are built by `_checked`, which checks nothing:
     its walk checks each junction once, when it extends a prefix, so
     every junction of an emitted path was checked as its prefix grew.
+    ``flat_id``, the flattened base-edge-id sequence, is the path's
+    identity under execution; equality, hash and repr ignore it.
     """
 
     steps: tuple[tuple[int, Edge], ...]
+    flat_id: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.steps:
             raise InvariantViolationError("a path has at least one edge")
         for a, b in zip(self.steps, self.steps[1:]):
             _check_junction(a, b)
+        object.__setattr__(self, "flat_id", flatten([e.id for _, e in self.steps]))
 
     @classmethod
     def _checked(cls, steps: tuple[tuple[int, Edge], ...], flat_id: tuple) -> Path:
-        """A path whose junctions the caller has checked, with its flat id
-        filled in; nothing is checked or computed here."""
+        """A path whose junctions the caller has checked, with the flat id
+        the caller computed; nothing is checked or computed here."""
         path = object.__new__(cls)
-        fields = path.__dict__
-        fields["steps"] = steps
-        fields["flat_id"] = flat_id  # fills the cached property
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "flat_id", flat_id)
         return path
 
     @property
@@ -335,13 +338,6 @@ class Path:
     @property
     def target(self) -> Vertex:
         return self.steps[-1][1].tgt
-
-    @functools.cached_property
-    def flat_id(self) -> tuple:
-        """The flattened base-edge-id sequence; the path's identity under
-        execution.  `alternating_paths` fills it in from the derived
-        graph's per-node flat ids."""
-        return flatten(tuple(e.id for _, e in self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -357,7 +353,7 @@ def _node_order(node: DerivedNode) -> tuple:
     return (str(edge.id), side, _tie_break(edge.id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedGraph:
     """Edges-as-nodes view of an interacting pair, compiled to int arrays.
 
@@ -575,7 +571,7 @@ def _is_periodic(seq: tuple[DerivedNode, ...]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleClass:
     """An equivalence class of prime alternating cycles.
 

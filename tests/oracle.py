@@ -262,8 +262,10 @@ def oracle_bimod_quotient(f, g, length_two: bool = False):
             return None
         paths = list(walks)
 
+    by_id = [{e.id: e for e in bg.graph.edges} for bg in bgs]
+
     def ends(step):
-        edge = bgs[step[0]].graph.edge(step[1])
+        edge = by_id[step[0]][step[1]]
         return edge.src, edge.tgt
 
     def move(step, before=None, after=None):

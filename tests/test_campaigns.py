@@ -134,6 +134,24 @@ def test_campaign_counts_are_consistent():
     assert "campaign=associativity" in result.render_line()
 
 
+@pytest.mark.parametrize(
+    "campaign, budget",
+    [
+        (campaigns.campaign_associativity, "trials"),
+        (campaigns.campaign_trefoil, "trials"),
+        (campaigns.campaign_cob0_laws, "bound"),
+        (campaigns.campaign_functor, "bound"),
+        (campaigns.campaign_faithful, "bound"),
+        (campaigns.campaign_bimod_degeneracy, "trials"),
+        (campaigns.campaign_bimod_well_defined, "trials"),
+    ],
+)
+@pytest.mark.parametrize("value", [-1, True])
+def test_campaigns_reject_a_budget_that_is_no_count(campaign, budget, value):
+    with pytest.raises(ValueError, match=f"^{budget} must be an int >= 0, got {value!r}$"):
+        campaign(**{budget: value})
+
+
 # Reports recorded before the exhaustive campaigns were moved onto the
 # shared campaign loop: render_text() then render_line().
 GOLDEN = {

@@ -348,6 +348,13 @@ class TestCobordismFormat:
             parse_cobordism("cob c\nleft a\nright b\ncob d\npair a b\n")
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("first, second", [(1, 2), (0, 0)])
+    def test_second_circles_line_reports_line(self, first, second):
+        text = f"cob c\nleft a\nright b\ncircles {first}\npair a b\ncircles {second}\n"
+        with pytest.raises(ParseError, match="^line 6: duplicate circles declaration$") as err:
+            parse_cobordism(text)
+        assert err.value.line == 6
+
     def test_repeated_pair_reports_line(self):
         with pytest.raises(ParseError, match="already paired on line 4") as err:
             parse_cobordism("cob c\nleft a\nright b\npair a b\npair a b\n")

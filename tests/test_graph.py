@@ -42,6 +42,10 @@ def g(vertices, edges=()):
     return Graph(vertices, edges)
 
 
+def edge(graph, edge_id):
+    return {e.id: e for e in graph.edges}[edge_id]
+
+
 class TestGraphConstruction:
     def test_minimal_graph(self):
         graph = g({"a", "b"}, [("e", "a", "b")])
@@ -172,8 +176,8 @@ class TestDerivedGraph:
         G = g({"a", "b"}, [("e", "a", "b")])
         H = g({"b", "c"}, [("f", "b", "c")])
         dg = derived_graph(G, H)
-        e = (0, G.edge("e"))
-        f = (1, H.edge("f"))
+        e = (0, edge(G, "e"))
+        f = (1, edge(H, "f"))
         assert dg.nodes == (e, f)
         assert dg.succ == [[1], []]
         assert dg.is_initial == [True, False]
@@ -183,7 +187,7 @@ class TestDerivedGraph:
         G = g({"a", "b"}, [("e", "a", "b")])
         H = Graph.empty()
         dg = derived_graph(G, H)
-        e = (0, G.edge("e"))
+        e = (0, edge(G, "e"))
         assert dg.nodes == (e,)
         assert dg.succ == [[]]
         assert dg.is_initial == dg.is_final == [True]
@@ -192,8 +196,8 @@ class TestDerivedGraph:
         G = g({"a", "b"}, [("e", "a", "b")])
         H = g({"a", "b"}, [("f", "b", "a")])
         dg = derived_graph(G, H)
-        e = (0, G.edge("e"))
-        f = (1, H.edge("f"))
+        e = (0, edge(G, "e"))
+        f = (1, edge(H, "f"))
         assert dg.nodes == (e, f)
         assert dg.succ == [[1], [0]]
         assert dg.is_initial == dg.is_final == [False, False]

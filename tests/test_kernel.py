@@ -4,6 +4,9 @@ counter."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import time
 
 import pytest
@@ -197,3 +200,40 @@ def test_count_paths_raises_on_a_pumpable_cycle():
     h = Graph({"b", "c", "y"}, [("f", "b", "c"), ("z", "b", "y")])
     with pytest.raises(InfinitePathSetError):
         count_paths(g, h)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda err: pickle.loads(pickle.dumps(err)), copy.copy], ids=["pickle", "copy"]
+)
+def test_infinite_set_errors_pickle_and_copy(clone):
+    g = Graph({"a", "b", "c"}, [("e", "a", "b"), ("g", "c", "b")])
+    h = Graph({"b", "c", "y"}, [("f", "b", "c"), ("z", "b", "y")])
+    with pytest.raises(InfinitePathSetError) as paths:
+        count_paths(g, h)
+    twin = clone(paths.value)
+    assert type(twin) is InfinitePathSetError
+    assert (str(twin), twin.witness) == (str(paths.value), paths.value.witness)
+
+    g = Graph({"a", "b"}, [("e", "a", "b"), ("f", "b", "a"), ("e2", "a", "b")])
+    h = Graph({"a", "b"}, [("x", "b", "a"), ("y", "a", "b")])
+    with pytest.raises(InfiniteCycleSetError) as cycles:
+        prime_cycles(g, h)
+    twin = clone(cycles.value)
+    assert type(twin) is InfiniteCycleSetError
+    assert (str(twin), twin.node, twin.branches) == (
+        str(cycles.value), cycles.value.node, cycles.value.branches
+    )
+
+
+def test_kernel_values_hold_only_their_fields():
+    g = Graph({"s", "b", "p", "q"}, [((("x",), "y"), "s", "b"), ("z", "p", "q")])
+    h = Graph({"b", "c", "p", "q"}, [(("w", ("v",)), "b", "c"), ("u", "q", "p")])
+    [path] = alternating_paths(g, h)
+    public = Path(path.steps)
+    other = dataclasses.replace(public, steps=path.steps[:1])
+    [cycle] = prime_cycles(g, h)
+    for value in (g.edges[0], path, public, other, derived_graph(g, h), cycle):
+        assert not hasattr(value, "__dict__")
+    assert Graph.__slots__ == ("vertices", "edges")
+    assert path.flat_id == public.flat_id == ("x", "y", "w", "v")
+    assert other.flat_id == ("x", "y")

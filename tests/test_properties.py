@@ -160,8 +160,10 @@ def _reversal_pairs(f: Graph, g: Graph, cycles) -> int:
     (side, edge id), of which one, under some rotation, runs through the
     other's edges backwards, each step on the same side with swapped
     endpoints."""
+    by_id = [{e.id: e for e in graph.edges} for graph in (f, g)]
+
     def ends(step):
-        edge = (f, g)[step[0]].edge(step[1])
+        edge = by_id[step[0]][step[1]]
         return edge.src, edge.tgt
 
     def reverses(c, d):
