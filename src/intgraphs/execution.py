@@ -56,6 +56,11 @@ def execute(g: Graph, h: Graph) -> Graph:
     alike, such as ``x`` and ``("x",)``, the plain DuplicateEdgeIdError
     names that flat id.
 
+    The result is built by the trusted `Graph._executed`, which checks
+    only that flat ids are unique; every path runs between boundary
+    vertices, so its edge's endpoints are in the vertex set by
+    construction.
+
     Raises InfinitePathSetError when the path set is infinite.
     """
     return _executed_graph(g, h, alternating_paths(g, h))
@@ -63,12 +68,15 @@ def execute(g: Graph, h: Graph) -> Graph:
 
 def _executed_graph(g: Graph, h: Graph, paths: Sequence[Path]) -> Graph:
     """The graph on the vertices of g or h alone, with one edge per path
-    named by its flat id; two paths with one flat id raise as `execute`
-    says."""
+    named by its flat id, in path order; two paths with one flat id raise
+    as `execute` says.
+
+    Every path must run from a boundary vertex to a boundary vertex, as
+    the kernel's boundary-to-boundary paths and the bimodular orbit
+    representatives among them do: `Graph._executed` does not check the
+    endpoints."""
     try:
-        return Graph(
-            g.vertices ^ h.vertices, [(p.flat_id, p.source, p.target) for p in paths]
-        )
+        return Graph._executed(g.vertices ^ h.vertices, paths)
     except DuplicateEdgeIdError as exc:
         shared = set(exc.edge_id) & _base_ids(g) & _base_ids(h)
         if not shared:

@@ -111,6 +111,11 @@ class Edge:
     tgt: Vertex
 
 
+# The slots' own setters, with which the trusted builds fill a frozen
+# value past its ``__setattr__``.
+_set_edge_id, _set_edge_src, _set_edge_tgt = Edge.id.__set__, Edge.src.__set__, Edge.tgt.__set__
+
+
 class Graph:
     """Immutable directed multigraph with identified edges.
 
@@ -134,6 +139,33 @@ class Graph:
             out[e.id] = e
         self.vertices = vs
         self.edges = tuple(out.values())
+
+    @classmethod
+    def _executed(cls, vertices: frozenset, paths: Sequence[Path]) -> Graph:
+        """The graph on ``vertices`` with one edge per path, named by its
+        flat id, from its source to its target, in path order.  The caller
+        guarantees that every endpoint is in ``vertices``, so only the ids
+        are checked: the first flat id that repeats, in path order, raises
+        DuplicateEdgeIdError, as ``Graph(...)`` would."""
+        new = object.__new__
+        out: dict[EdgeId, Edge] = {}
+        for p in paths:
+            steps, flat_id = p.steps, p.flat_id
+            e = new(Edge)
+            _set_edge_id(e, flat_id)
+            _set_edge_src(e, steps[0][1].src)
+            _set_edge_tgt(e, steps[-1][1].tgt)
+            out[flat_id] = e
+        if len(out) < len(paths):
+            seen: set = set()
+            for p in paths:
+                if p.flat_id in seen:
+                    raise DuplicateEdgeIdError(p.flat_id)
+                seen.add(p.flat_id)
+        graph = new(cls)
+        graph.vertices = vertices
+        graph.edges = tuple(out.values())
+        return graph
 
     @classmethod
     def empty(cls) -> Graph:
@@ -327,8 +359,8 @@ class Path:
         """A path whose junctions the caller has checked, with the flat id
         the caller computed; nothing is checked or computed here."""
         path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
-        object.__setattr__(path, "flat_id", flat_id)
+        _set_steps(path, steps)
+        _set_flat_id(path, flat_id)
         return path
 
     @property
@@ -341,6 +373,9 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+_set_steps, _set_flat_id = Path.steps.__set__, Path.flat_id.__set__
 
 
 DerivedNode = tuple[int, Edge]
@@ -576,13 +611,12 @@ class CycleClass:
     """An equivalence class of prime alternating cycles.
 
     ``steps`` is the canonical representative: the lexicographically least
-    rotation of the (side, Edge) sequence in `_node_order`.  Followed by
-    its first step again, it must form a `Path`, so it chains and
-    alternates cyclically, vertices meeting when they are equal or the
-    same object, as in `derived_graph`.  In unoriented mode the class
-    also absorbs the edgewise reversal, which `prime_cycles` finds by one
-    lookup per step; the representative is then the least canonical form
-    over the merged classes.
+    rotation of the (side, Edge) sequence in `_node_order`.  It must
+    chain and alternate cyclically: every junction, the last step followed
+    by the first included, passes `_check_junction`, as in a `Path`.  In
+    unoriented mode the class also absorbs the edgewise reversal, which
+    `prime_cycles` finds by one lookup per step; the representative is
+    then the least canonical form over the merged classes.
     """
 
     steps: tuple[tuple[int, Edge], ...]
@@ -591,7 +625,10 @@ class CycleClass:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InvariantViolationError(f"unknown cycle mode {self.mode!r}")
-        Path(self.steps + self.steps[:1])
+        if not self.steps:
+            raise InvariantViolationError("a path has at least one edge")
+        for a, b in zip(self.steps, self.steps[1:] + self.steps[:1]):
+            _check_junction(a, b)
         if self.steps != _canonical_rotation(self.steps):
             raise InvariantViolationError("not canonical")
         if _is_periodic(self.steps):

@@ -21,6 +21,7 @@ from intgraphs.graph import (
     DuplicateEdgeIdError,
     Graph,
     InfinitePathSetError,
+    alternating_paths,
 )
 
 
@@ -97,6 +98,19 @@ class TestExecute:
         assert str(err.value) == "duplicate edge id (1, 'e')"
         copy = pickle.loads(pickle.dumps(err.value))
         assert (copy.edge_id, str(copy)) == ((1, "e"), "duplicate edge id (1, 'e')")
+
+    def test_the_first_flat_id_to_repeat_in_path_order_is_named(self):
+        # in path order the flat ids are ('q',), ('p',), ('p',), ('q',):
+        # both repeat, and ('p',) repeats first, as Graph(...) would find
+        ids = ["q", ("q",), (("p",),), ((("p",),),)]
+        G = g({"a", "b"}, [(i, "a", "b") for i in ids])
+        paths = alternating_paths(G, Graph.empty())
+        assert [p.flat_id for p in paths] == [("q",), ("p",), ("p",), ("q",)]
+        with pytest.raises(DuplicateEdgeIdError) as err:
+            execute(G, Graph.empty())
+        with pytest.raises(DuplicateEdgeIdError) as public:
+            Graph(G.vertices, [(p.flat_id, p.source, p.target) for p in paths])
+        assert str(err.value) == str(public.value) == "duplicate edge id ('p',)"
 
     def test_shared_id_on_distinct_paths_still_executes(self):
         G = g({"a", "m"}, [("e", "a", "m")])

@@ -6,15 +6,21 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intgraphs
 from intgraphs import graph
-from intgraphs.campaigns import random_pair, trial_rng
-from intgraphs.execution import execute
+from intgraphs.bimodular import OrbitCapExceededError, bimod_execute
+from intgraphs.campaigns import random_bimodular_pair, random_pair, trial_rng
+from intgraphs.execution import PreconditionViolationError, execute
+from intgraphs.formats import render_graph
 from intgraphs.graph import (
     DIRECTED,
     DerivedGraph,
@@ -237,3 +243,55 @@ def test_kernel_values_hold_only_their_fields():
     assert Graph.__slots__ == ("vertices", "edges")
     assert path.flat_id == public.flat_id == ("x", "y", "w", "v")
     assert other.flat_id == ("x", "y")
+
+
+def _executed_graphs():
+    """Executed graphs of every kind the trusted build makes: random pairs
+    at campaign defaults, diamond chains of 2^1 to 2^12 paths, the
+    quotients of random bimodular pairs, and a NaN boundary vertex."""
+    for index in range(300):
+        try:
+            yield execute(*random_pair(trial_rng(42, index)))
+        except InfinitePathSetError:
+            pass
+    for k in range(12):
+        yield execute(*diamond_chain(2, k))
+    for index in range(300):
+        try:
+            yield bimod_execute(*random_bimodular_pair(trial_rng(42, index))).graph
+        except (InfinitePathSetError, PreconditionViolationError, OrbitCapExceededError):
+            pass
+    nan = float("nan")
+    yield execute(Graph({nan, "m"}, [("e", nan, "m")]), Graph({"m", "b"}, [("f", "m", "b")]))
+
+
+def test_trusted_executed_graphs_equal_their_public_rebuild():
+    sizes = []
+    for result in _executed_graphs():
+        rebuilt = Graph(result.vertices, [(e.id, e.src, e.tgt) for e in result.edges])
+        assert rebuilt.vertices == result.vertices
+        assert rebuilt.edges == result.edges
+        assert render_graph("R", rebuilt) == render_graph("R", result)
+        sizes.append(len(result.edges))
+    assert max(sizes) == 2**12
+    assert len(sizes) > 300
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_public_graph_still_checks_endpoints(flags):
+    snippet = """
+from intgraphs.graph import Graph, UnknownVertexError
+for edge in [("e", "z", "a"), ("e", "a", "z")]:
+    try:
+        Graph({"a"}, [edge])
+    except UnknownVertexError as exc:
+        print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(intgraphs.__file__)))
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", snippet],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == (
+        "edge 'e': unknown source vertex 'z'\nedge 'e': unknown target vertex 'z'\n"
+    )

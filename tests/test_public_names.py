@@ -3,6 +3,11 @@ list, so the change shows in review."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+
+import pytest
+
 import intgraphs
 
 PUBLIC_NAMES = [
@@ -80,3 +85,27 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert intgraphs.__all__ == PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+
+
+LAYER_MODULES = [
+    "graph", "execution", "interaction", "cob0", "functor", "bimodular", "formats", "campaigns",
+]
+
+
+@pytest.mark.parametrize("name", LAYER_MODULES)
+def test_public_layer_callables_are_plain_functions(name):
+    # The benchmark's tracer wraps plain functions only, so a public layer
+    # function wrapped in, say, functools.cache would drop out of every
+    # traced span without a word; this makes it fail here instead.
+    module = importlib.import_module(f"intgraphs.{name}")
+    public = [
+        (attr, value)
+        for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and getattr(value, "__module__", None) == module.__name__
+        and callable(value)
+        and not inspect.isclass(value)
+    ]
+    assert public
+    for attr, value in public:
+        assert inspect.isfunction(value), f"{module.__name__}.{attr} is not a plain function"
