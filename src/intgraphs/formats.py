@@ -57,7 +57,7 @@ naming the values.  DOT output quotes every token, escaping ``\\`` and
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 from typing import Any, Callable
 
@@ -90,6 +90,7 @@ def vertex_token(v: Any) -> str:
 
 
 _PLAIN_STR = frozenset((str,))
+_TUPLE = frozenset((tuple,))
 
 
 def id_token(edge_id: Any) -> str:
@@ -193,9 +194,18 @@ def _graph_tokens(graph: Graph, forbidden: str | None) -> tuple[dict, list[int],
     vertices = list(graph.vertices)
     tokens = [vertex_token(v) for v in vertices]
     vorder = _token_order(tokens, vertices.__getitem__, "vertices", forbidden)
-    edges = graph.edges
-    etokens = [id_token(e.id) for e in edges]
-    order = _token_order(etokens, lambda i: edges[i].id, "edges", forbidden)
+    ids = [e.id for e in graph.edges]
+    # Every part of every id typed in one C-level scan: when all ids are
+    # tuples of plain strs, as executed ids of parsed graphs are, each
+    # token is one join.  Parts are typed, not deduplicated: a set would
+    # keep "a" and drop an equal str subclass with its own __str__.
+    if _TUPLE.issuperset(map(type, ids)) and _PLAIN_STR.issuperset(
+        map(type, chain.from_iterable(ids))
+    ):
+        etokens = list(map(".".join, ids))
+    else:
+        etokens = list(map(id_token, ids))
+    order = _token_order(etokens, ids.__getitem__, "edges", forbidden)
     return {vertices[i]: tokens[i] for i in vorder}, order, etokens
 
 

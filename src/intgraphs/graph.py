@@ -338,8 +338,10 @@ class Path:
     alternate (`_check_junction`).  ``Path(steps)`` checks them all on
     construction (InvariantViolationError).  The paths of
     `alternating_paths` are built by `_checked`, which checks nothing:
-    its walk checks each junction once, when it extends a prefix, so
-    every junction of an emitted path was checked as its prefix grew.
+    a path's junctions are arcs of the derived graph between live nodes,
+    and its walk checks each such arc once, when it first expands the
+    arc's source, so every junction of an emitted path was checked
+    before the path was built.
     ``flat_id``, the flattened base-edge-id sequence, is the path's
     identity under execution; equality, hash and repr ignore it.
     """
@@ -541,22 +543,29 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     # and no path is a prefix of another (final nodes have no outgoing
     # arcs), so paths are emitted in node order.  prefix[d] is the walk's
     # first d nodes as (steps, flat id).  Each emitted path is recorded as
-    # (steps of its prefix, last node, flat id).  The junction that a node
-    # adds to a prefix is checked here, once; a path's other junctions are
-    # its prefix's, checked as the prefix grew.
+    # (steps of its prefix, last node, flat id).  Every junction of a path
+    # is an arc between two live nodes, and every live arc leaves a node
+    # that the walk expands, so the arcs are checked instead of the
+    # junctions: each live out-arc of a node once, when the walk first
+    # expands the node, before it extends any prefix along them.
     found: list[tuple[tuple, int, tuple]] = []
     prefix: list[tuple[tuple, tuple]] = [((), ())]
     branches: list[Iterator[int]] = [(i for i, flag in enumerate(dg.is_initial) if flag)]
+    expanded = [False] * len(nodes)
     while branches:
         steps, flat = prefix[-1]
         for w in branches[-1]:
             if not live[w]:
                 continue
-            if steps:
-                _check_junction(steps[-1], nodes[w])
             if final[w]:
                 found.append((steps, w, flat + flat_ids[w]))
             else:
+                if not expanded[w]:
+                    expanded[w] = True
+                    node = nodes[w]
+                    for u in succ[w]:
+                        if live[u]:
+                            _check_junction(node, nodes[u])
                 prefix.append((steps + steps1[w], flat + flat_ids[w]))
                 branches.append(iter(succ[w]))
                 break

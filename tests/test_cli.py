@@ -90,6 +90,34 @@ class TestDot:
         assert out == ""
         assert err.startswith(f"error: cannot read {missing}: ")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["dot"],
+            ["execute", str(SAMPLES / "arrow_ab.graph")],
+            ["cob", "compose", str(SAMPLES / "cap.cob")],
+        ],
+        ids=["dot", "execute", "cob-compose"],
+    )
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda p: p.write_bytes(b"graph F\nvertex \xff\n"),
+             "'utf-8' codec can't decode byte 0xff"),
+            (lambda p: p.mkdir(), "[Errno 21] Is a directory"),
+        ],
+        ids=["not-utf-8", "directory"],
+    )
+    def test_an_unreadable_file_exits_2(self, tmp_path, capsys, command, make, reason):
+        # an input error, not a traceback with the violation code 1
+        bad = tmp_path / "bad"
+        make(bad)
+        code, out, err = run(capsys, *command, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: {reason}")
+        assert err.count("\n") == 1
+
 
 class TestMeasure:
     def test_two_cycle(self, capsys):

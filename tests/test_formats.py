@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from intgraphs.execution import execute
 from intgraphs.functor import SegmentEdgeId
 from intgraphs.graph import Graph, GraphError, OMEGA, ExtNat, show_items
 from intgraphs.interaction import IdentityEdgeId, Project
+from test_kernel import diamond_chain
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -110,14 +112,14 @@ def _reference_token(edge_id):
     return str(edge_id)
 
 
-def _reference_render_graph(name, graph):
-    """The straightforward renderer: tokens recomputed for every use."""
+def _reference_render_graph(name, graph, token=_reference_token):
+    """The straightforward renderer: tokens recomputed for every use, each
+    edge's by ``token``."""
     lines = [f"graph {name}"]
     for v in sorted(graph.vertices, key=vertex_token):
         lines.append(f"vertex {vertex_token(v)}")
-    for e in sorted(graph.edges, key=lambda e: _reference_token(e.id)):
-        token = _reference_token(e.id)
-        lines.append(f"edge {token} {vertex_token(e.src)} {vertex_token(e.tgt)}")
+    for e in sorted(graph.edges, key=lambda e: token(e.id)):
+        lines.append(f"edge {token(e.id)} {vertex_token(e.src)} {vertex_token(e.tgt)}")
     return "\n".join(lines) + "\n"
 
 
@@ -156,6 +158,42 @@ class TestIdToken:
         assert id_token((Shout("a"), "b")) == "A!.b"
         assert id_token((Shout("a"), Shout("b"))) == "A!.B!"
         assert id_token(("a", (Shout("b"),))) == "a.B!"
+
+
+Pair = namedtuple("Pair", "x y")
+
+
+class TestEdgeTokenScan:
+    """`render_graph` types the parts of all edge ids of a graph at once;
+    its text must equal the one that tokenises edge by edge with
+    `id_token`."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # "a" and Shout("a") are equal parts that print apart
+            [(("a", "b"), "p", "q"), ((Shout("a"), "c"), "p", "q")],
+            [(("a", "b"), "p", "q"), ("c", "p", "q"), (1, "q", "p"), (("d",), "q", "q")],
+            [(("a", ("b", "c")), "p", "q"), ((("d",), "e"), "q", "p"), (("f", "g"), "p", "p")],
+            [(Pair("a", "b"), "p", "q"), (("c", "d"), "p", "q")],
+        ],
+        ids=["str-subclass", "tuple-and-not", "nested", "namedtuple"],
+    )
+    def test_equals_the_text_tokenised_edge_by_edge(self, edges):
+        graph = Graph({"p", "q"}, edges)
+        assert render_graph("g", graph) == _reference_render_graph("g", graph, id_token)
+
+    def test_a_str_subclass_part_renders_through_its_str(self):
+        graph = Graph({"p", "q"}, [(("a", "b"), "p", "q"), ((Shout("a"), "c"), "p", "q")])
+        assert render_graph("g", graph).endswith("edge A!.c p q\nedge a.b p q\n")
+
+    def test_executed_diamond_chains(self):
+        # flat ids of plain strs only: every token comes from the one scan
+        for k in range(12):
+            result = execute(*diamond_chain(2, k))
+            assert len(result.edges) == 2 ** (k + 1)
+            text = render_graph("result", result)
+            assert text == _reference_render_graph("result", result, id_token)
 
 
 class TestRenderGraphOutput:

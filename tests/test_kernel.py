@@ -170,6 +170,61 @@ def test_the_walk_checks_the_junctions_of_its_arcs(monkeypatch, run, second, bro
         run(g, h)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_the_walk_checks_each_live_arc_once_not_each_junction(monkeypatch, k):
+    # 2**(k+1) paths of k junctions each, but 2 x 2 live arcs at each of
+    # the k shared vertices
+    arcs = []
+    check = graph._check_junction
+    monkeypatch.setattr(graph, "_check_junction", lambda a, b: arcs.append((a, b)) or check(a, b))
+    paths = alternating_paths(*diamond_chain(2, k))
+    assert len(paths) == 2 ** (k + 1)
+    assert len(arcs) == len(set(arcs)) == 4 * k
+    assert set(arcs) == {junction for p in paths for junction in zip(p.steps, p.steps[1:])}
+
+
+@pytest.mark.parametrize(
+    "last, broken",
+    [
+        ((1, Edge("g", "c", "d")), "do not alternate"),  # composes, same side
+        ((0, Edge("g", "x", "d")), "do not compose"),  # alternates, b -> c then x -> d
+    ],
+)
+@pytest.mark.parametrize("run", [alternating_paths, execute])
+def test_a_broken_arc_in_the_last_layer_is_refused(monkeypatch, run, last, broken):
+    # a -> b -> c -> d in three steps, the first two junctions sound
+    first, middle = (0, Edge("e", "a", "b")), (1, Edge("f", "b", "c"))
+    bad = DerivedGraph(
+        (first, middle, last), [[1], [2], []], [True, False, False], [False, False, True]
+    )
+    monkeypatch.setattr(graph, "derived_graph", lambda g, h: bad)
+    sides = ([first[1]], [middle[1]])
+    sides[last[0]].append(last[1])
+    g = Graph({"a", "b", "c", "x", "d"}, sides[0])
+    h = Graph({"b", "c", "d"}, sides[1])
+    with pytest.raises(InvariantViolationError, match=f"^edges 'f', 'g' {broken}$"):
+        run(g, h)
+
+
+@pytest.mark.parametrize("run", [alternating_paths, execute])
+def test_a_broken_arc_into_a_dead_node_is_not_checked(monkeypatch, run):
+    # node 2 is neither final nor on the way to a final node, so no path
+    # takes the arc into it, which neither composes nor alternates
+    first, last = (0, Edge("e", "a", "b")), (1, Edge("f", "b", "c"))
+    dead = (0, Edge("g", "x", "y"))
+    bad = DerivedGraph(
+        (first, last, dead), [[1, 2], [], []], [True, False, False], [False, True, False]
+    )
+    monkeypatch.setattr(graph, "derived_graph", lambda g, h: bad)
+    g = Graph({"a", "b", "x", "y"}, [first[1], dead[1]])
+    h = Graph({"b", "c"}, [last[1]])
+    result = run(g, h)
+    if run is execute:
+        assert [(e.id, e.src, e.tgt) for e in result.edges] == [(("e", "f"), "a", "c")]
+    else:
+        assert [p.steps for p in result] == [(first, last)]
+
+
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_count_paths_matches_enumeration(seed):
