@@ -15,12 +15,16 @@ table's keys with the boundary then finds unknown and missing points.
 Composition glues along the shared middle object with one chase: from each
 outer boundary point, alternately follow the two tables through the middle
 (m's target point x is n's source point x) until another outer point is
-reached, recording only the middle labels passed.  The composite's pairs
-come out already tagged, and `decompose_segment` rebuilds a pair's operand
-segments from the same labels.  The composite's mate table comes from the
-chase too, which records both ends of each chain, so the composite is not
-checked again.  Middle points not on any such open chain lie on closed
-alternating chains, each of which becomes a new circle.
+reached, recording only the middle labels passed.  The outer points are
+the keys of the two tables themselves, m's source points and n's target
+points, so none is tagged again.  The composite's pairs come out already
+tagged, and `decompose_segment` rebuilds a pair's operand segments from
+the same labels.  The composite's mate table comes from the chase too,
+which records both ends of each chain, so the composite is not checked
+again.  Middle points not on any such open chain lie on closed
+alternating chains, each of which becomes a new circle.  Open chains pass
+each middle label at most once, so the pass that walks the closed chains
+runs only when they pass fewer labels than the middle object has.
 """
 
 from __future__ import annotations
@@ -191,30 +195,37 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     """
     _check_interface(m, n)
     ends: dict = {}  # the composite's mate table
-    walked: set = set()  # middle labels already on some chain
+    passed = []  # middle labels on open chains, each once
     new_pairs = []
-    for p in [(SRC, a) for a in m.source] + [(TGT, c) for c in n.target]:
-        if p in ends:
-            continue
-        labels, end = _chase(m, n, p)
-        ends[p] = end
-        ends[end] = p
-        walked.update(labels)
-        new_pairs.append(frozenset((p, end)))
+    # The outer points are the tables' own keys: m's source points and n's
+    # target points.
+    for mates, middle in ((m._mates, TGT), (n._mates, SRC)):
+        for p in mates:
+            if p[0] == middle or p in ends:
+                continue
+            labels, end = _chase(m, n, p)
+            ends[p] = end
+            ends[end] = p
+            passed += labels
+            new_pairs.append(frozenset((p, end)))
 
+    # Open chains pass each label at most once, so when they pass all of
+    # them no closed chain is left.
     closed = 0
-    for b in m.target:
-        if b in walked:
-            continue
-        closed += 1
-        cur = b
-        while True:
-            walked.add(cur)
-            cur = m._mates[(TGT, cur)][1]
-            walked.add(cur)
-            cur = n._mates[(SRC, cur)][1]
-            if cur == b:
-                break
+    if len(passed) < len(m.target):
+        walked = set(passed)  # middle labels already on some chain
+        for b in m.target:
+            if b in walked:
+                continue
+            closed += 1
+            cur = b
+            while True:
+                walked.add(cur)
+                cur = m._mates[(TGT, cur)][1]
+                walked.add(cur)
+                cur = n._mates[(SRC, cur)][1]
+                if cur == b:
+                    break
 
     return Cob0Morphism._glued(
         m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed, ends

@@ -405,7 +405,9 @@ class DerivedGraph:
 
     ``succ`` lists are shared: every node with no arcs gets one list,
     ``no_arcs``, and the nodes of one side with one target share the list
-    of the other side's nodes leaving that target.  Do not mutate them.
+    of the other side's nodes leaving that target.  `derived_graph` also
+    hands its last result to a later call on the same two graphs.  So do
+    not mutate any of the arrays.
     """
 
     nodes: tuple[DerivedNode, ...]
@@ -414,21 +416,48 @@ class DerivedGraph:
     is_final: list[bool]
 
 
+# The last pair built and its derived graph:
+# (g, h, g.vertices, g.edges, h.vertices, h.edges, dg).
+_last_derived: tuple = (None,) * 7
+
+
 def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
-    boundary = g.vertices ^ h.vertices
+    """The derived graph of the pair (g, h).
+
+    A call on the same two graph objects as the call before, whose vertex
+    sets and edge tuples are still the same objects, returns the same
+    `DerivedGraph` again.  The key is identity, not equality: equal graphs
+    may list tied edges in another order and number their nodes
+    differently, and hashing the content would cost more than the build.
+    Threads that race here at worst build once more.
+    """
+    global _last_derived
+    last = _last_derived
+    # read once: the key stored below names exactly what was built
+    g_vertices, g_edges, h_vertices, h_edges = g.vertices, g.edges, h.vertices, h.edges
+    if (
+        last[0] is g and last[1] is h
+        and last[2] is g_vertices and last[3] is g_edges
+        and last[4] is h_vertices and last[5] is h_edges
+    ):
+        return last[6]
+    boundary = g_vertices ^ h_vertices
     nodes = sorted(
-        [(0, e) for e in g.edges] + [(1, e) for e in h.edges], key=_node_order
+        [(0, e) for e in g_edges] + [(1, e) for e in h_edges], key=_node_order
     )
     by_source: dict[tuple[int, Vertex], list[int]] = {}
     for i, (side, edge) in enumerate(nodes):
         by_source.setdefault((side, edge.src), []).append(i)
     no_arcs: list[int] = []
-    return DerivedGraph(
+    dg = DerivedGraph(
         tuple(nodes),
         [by_source.get((1 - side, edge.tgt), no_arcs) for side, edge in nodes],
         [edge.src in boundary for _, edge in nodes],
         [edge.tgt in boundary for _, edge in nodes],
     )
+    # one assignment, so a reader never sees a key without its result
+    _last_derived = (g, h, g_vertices, g_edges, h_vertices, h_edges, dg)
+    return dg
 
 
 def _sccs(succ: list[list[int]], roots: Iterable[int]) -> tuple[list[list[int]], list[int]]:

@@ -43,6 +43,14 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             cyclic_group(0)
 
+    def test_equal_tables_are_equal_groups_whatever_the_name(self):
+        table = {(a, b): str((int(a) + int(b)) % 2) for a in "01" for b in "01"}
+        z2 = FiniteGroup("other", ["1", "0"], table)
+        assert z2 == cyclic_group(2) and hash(z2) == hash(cyclic_group(2))
+        assert {z2, cyclic_group(2), cyclic_group(3)} == {cyclic_group(2), cyclic_group(3)}
+        assert z2.__eq__("z2") is NotImplemented
+        assert z2 != "z2" and z2 != cyclic_group(4)
+
     def test_symmetric(self):
         s3 = symmetric_group(3)
         assert s3.order == 6
@@ -140,6 +148,7 @@ class TestBimodularGraphValidation:
         bg = BimodularGraph(Graph({"a", "b"}, [("e", "a", "b")]))
         assert all(grp.is_trivial() for grp in bg.groups.values())
         assert bg.left[("a", "b")]["0"] == {"e": "e"}
+        assert repr(bg) == "BimodularGraph(Graph(2 vertices, 1 edges))"
 
     def test_non_permutation_rejected(self):
         graph = Graph({"a", "b"}, [("e1", "a", "b"), ("e2", "a", "b")])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,25 @@ class TestMeasure:
         )
         assert code == 0
         assert out.strip() == "omega"
+
+
+class TestRunAsModule:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["measure", "two_cycle_left.graph", "two_cycle_right.graph"], 0), (["dot"], 2)],
+    )
+    def test_exit_code_is_mains_return_value(self, monkeypatch, capsys, argv, code):
+        # what `python -m intgraphs.cli` runs, in this process; the loaded
+        # module is set aside, as a fresh interpreter would not have it
+        argv = [str(SAMPLES / a) if a.endswith(".graph") else a for a in argv]
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        monkeypatch.setattr(sys, "argv", ["intgraphs", *argv])
+        monkeypatch.delitem(sys.modules, "intgraphs.cli")
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("intgraphs.cli", run_name="__main__")
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == expected
 
 
 class TestCob:

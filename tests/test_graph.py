@@ -74,6 +74,11 @@ class TestGraphConstruction:
         assert g1 == g2
         assert hash(g1) == hash(g2)
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        graph = g({"a"})
+        assert graph.__eq__(frozenset({"a"})) is NotImplemented
+        assert graph != frozenset({"a"})
+
     def test_relabel_rejects_merging(self):
         graph = g({"a", "b"})
         with pytest.raises(ValueError):
@@ -99,6 +104,10 @@ class TestExtNat:
     def test_str(self):
         assert str(OMEGA) == "omega"
         assert str(ExtNat(4)) == "4"
+
+    def test_repr(self):
+        assert repr(OMEGA) == "OMEGA"
+        assert repr(ExtNat(4)) == "ExtNat(4)"
 
     def test_immutable(self):
         with pytest.raises(AttributeError, match="immutable"):
@@ -447,6 +456,10 @@ class TestPathInvariants:
         with pytest.raises(InvariantViolationError):
             Path(((0, e), (0, f)))
 
+    def test_empty_path_rejected(self):
+        with pytest.raises(InvariantViolationError, match="^a path has at least one edge$"):
+            Path(())
+
     def test_one_step_path_accepted(self):
         e = Edge("e", "a", "b")
         path = Path(((0, e),))
@@ -490,6 +503,7 @@ class TestCycleClassInvariants:
     def test_a_valid_cycle_is_accepted(self):
         cycle = CycleClass(((0, self.E), (1, self.F)), DIRECTED)
         assert cycle.edge_ids == ("e", "f")
+        assert len(cycle) == 2
 
     @pytest.mark.parametrize(
         "steps, mode, message",

@@ -1,6 +1,6 @@
 """The derived-graph kernel's invariants, checked on random pairs against
-facts computed here straight from the two graphs' edge lists, and the path
-counter."""
+facts computed here straight from the two graphs' edge lists, the path
+counter, and the reuse of the last derived graph."""
 
 from __future__ import annotations
 
@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import intgraphs
 from intgraphs import graph
-from intgraphs.bimodular import OrbitCapExceededError, bimod_execute
+from intgraphs.bimodular import BimodularGraph, OrbitCapExceededError, bimod_execute
 from intgraphs.campaigns import random_bimodular_pair, random_pair, trial_rng
-from intgraphs.execution import PreconditionViolationError, execute
+from intgraphs.cob0 import SRC, TGT, cob0_morphism
+from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened
 from intgraphs.formats import render_graph
+from intgraphs.functor import check_functoriality
 from intgraphs.graph import (
     DIRECTED,
     DerivedGraph,
@@ -298,6 +300,100 @@ def test_kernel_values_hold_only_their_fields():
     assert Graph.__slots__ == ("vertices", "edges")
     assert path.flat_id == public.flat_id == ("x", "y", "w", "v")
     assert other.flat_id == ("x", "y")
+
+
+def _memo_pair() -> tuple[Graph, Graph]:
+    # tied ids (both named "e") and a 2-cycle, so the node order and the
+    # arcs both depend on which edges each graph holds
+    g = Graph({"a", "b", "c"}, [("e", "a", "b"), ("f", "c", "b"), ("k", "b", "c")])
+    h = Graph({"b", "c", "d"}, [("e", "b", "c"), ("g", "c", "d"), ("m", "c", "b")])
+    return g, h
+
+
+def _fresh(g: Graph, h: Graph) -> DerivedGraph:
+    """The derived graph of copies of g and h, which no memo can hold."""
+    return derived_graph(
+        Graph(set(g.vertices), list(g.edges)), Graph(set(h.vertices), list(h.edges))
+    )
+
+
+def _builds(monkeypatch) -> list:
+    """Record every derived graph that `derived_graph` builds from now on."""
+    built: list = []
+    make = graph.DerivedGraph
+
+    def build(*arrays):
+        built.append(make(*arrays))
+        return built[-1]
+
+    monkeypatch.setattr(graph, "DerivedGraph", build)
+    return built
+
+
+def test_a_repeated_pair_gets_its_derived_graph_again(monkeypatch):
+    g, h = _memo_pair()
+    built = _builds(monkeypatch)
+    first = derived_graph(g, h)
+    assert derived_graph(g, h) is first
+    assert built == [first]
+    assert first == _fresh(g, h)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("clone", [copy.copy, lambda g: Graph(g.vertices, g.edges)])
+def test_an_equal_copy_gets_a_fresh_build(side, clone):
+    pair = list(_memo_pair())
+    first = derived_graph(*pair)
+    pair[side] = clone(pair[side])
+    again = derived_graph(*pair)
+    assert again is not first
+    assert again == first  # all four arrays
+
+
+@pytest.mark.parametrize("slot", ["edges", "vertices"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_reassigned_slot_gets_a_fresh_build(side, slot):
+    pair = list(_memo_pair())
+    first = derived_graph(*pair)
+    changed = pair[side]
+    if slot == "edges":
+        changed.edges = changed.edges[1:]
+    else:
+        # the other graph's vertices too: none is a boundary vertex now
+        changed.vertices = changed.vertices | pair[1 - side].vertices
+    again = derived_graph(*pair)
+    assert again is not first
+    assert again == _fresh(*pair) != first
+
+
+def test_alternating_pairs_are_each_built_correctly(monkeypatch):
+    g, h = _memo_pair()
+    forward, backward = _fresh(g, h), _fresh(h, g)
+    assert forward != backward
+    built = _builds(monkeypatch)
+    assert [derived_graph(g, h), derived_graph(h, g), derived_graph(g, h)] == [
+        forward, backward, forward
+    ]
+    assert len(built) == 3
+
+
+def test_one_functoriality_check_builds_one_derived_graph(monkeypatch):
+    cup = cob0_morphism([], [1, 2], [[(TGT, 1), (TGT, 2)]])
+    cap = cob0_morphism([1, 2], [], [[(SRC, 1), (SRC, 2)]])
+    built = _builds(monkeypatch)
+    report = check_functoriality(cup, cap)
+    assert report.passed and report.details["measure_unoriented"] == "1"
+    assert len(built) == 1
+
+
+def test_bimodular_then_plain_execution_of_one_pair_builds_once(monkeypatch):
+    g, h = diamond_chain(2, 3)
+    built = _builds(monkeypatch)
+    quotient = bimod_execute(BimodularGraph(g), BimodularGraph(h))
+    plain = execute(g, h)
+    assert graphs_equal_flattened(quotient.graph, plain)
+    assert len(plain.edges) == 16
+    assert len(built) == 1
 
 
 def _executed_graphs():
