@@ -36,15 +36,28 @@ from .interaction import (
 
 @dataclass(frozen=True)
 class SegmentEdgeId:
-    """Atomic id for one directed traversal of a cobordism segment."""
+    """Atomic id for one directed traversal of a cobordism segment.
+
+    Its str is the token ``seg:<src>><tgt>``.  Derived graphs sort their
+    nodes by it, so one id is asked for it many times: it is rendered on
+    first use and kept on the instance, outside the fields, as
+    `fundamental_graph` keeps a morphism's image.  So ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` see only the two endpoints.
+    """
 
     src: Any
     tgt: Any
 
     def __str__(self) -> str:
+        try:
+            return self._token
+        except AttributeError:
+            pass
         # endpoints are (tag, label) pairs; keep the token whitespace-free
         tok = lambda v: f"{v[0]}.{v[1]}" if isinstance(v, tuple) and len(v) == 2 else str(v)
-        return f"seg:{tok(self.src)}>{tok(self.tgt)}"
+        token = f"seg:{tok(self.src)}>{tok(self.tgt)}"
+        object.__setattr__(self, "_token", token)
+        return token
 
 
 def _boundary_vertex(point: tuple[str, Any]) -> tuple[str, Any]:

@@ -21,7 +21,8 @@ over its components in reverse topological order gives the live nodes:
 the path set is infinite iff a live component is nontrivial
 (`alternating_paths`, `count_paths`).  Over all nodes it gives the cycle
 classes: the cycle set is finite iff every nontrivial component is a
-single simple cycle (`prime_cycles`).
+single simple cycle (`prime_cycles`).  The derived graph keeps what each
+pass found, so later questions about the same pair run neither again.
 
 Vertices and edge ids are arbitrary hashable values.  Tuple ids are
 treated as composite (sequences of base ids); `flatten` computes the flat
@@ -403,17 +404,29 @@ class DerivedGraph:
     boundary-to-boundary walks are exactly the maximal finite alternating
     paths.
 
+    Two results are kept once computed, in private fields that ``==``
+    and ``repr`` ignore: ``_live``, the live order and flags of
+    `_live_order`, and ``_cycles``, the sorted cycles (node-number lists)
+    of `_cycle_list`.  So the paths, the path count and both modes of the
+    cycle classes of one pair share one pass each.  An infinite outcome
+    is not kept: each call raises again.
+
     ``succ`` lists are shared: every node with no arcs gets one list,
     ``no_arcs``, and the nodes of one side with one target share the list
     of the other side's nodes leaving that target.  `derived_graph` also
     hands its last result to a later call on the same two graphs.  So do
-    not mutate any of the arrays.
+    not mutate any of the arrays, nor the kept results.
     """
 
     nodes: tuple[DerivedNode, ...]
     succ: list[list[int]]
     is_initial: list[bool]
     is_final: list[bool]
+    _live: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _cycles: list | None = field(default=None, init=False, repr=False, compare=False)
+
+
+_set_live, _set_cycles = DerivedGraph._live.__set__, DerivedGraph._cycles.__set__
 
 
 # The last pair built and its derived graph:
@@ -533,19 +546,25 @@ def _live_order(dg: DerivedGraph) -> tuple[list[int], list[bool]]:
     One Tarjan pass from the initial nodes gives reachability and the
     components; co-reachability is then folded over the components in
     completion order.  Raises InfinitePathSetError when a live component
-    is nontrivial, i.e. when the path set is infinite.
+    is nontrivial, i.e. when the path set is infinite.  The result is
+    kept on ``dg``; an infinite set is found again on each call.
     """
+    kept = dg._live
+    if kept is not None:
+        return kept
     succ, final = dg.succ, dg.is_final
     sccs, comp = _sccs(succ, [i for i, flag in enumerate(dg.is_initial) if flag])
     live = [False] * len(succ)
+    is_live = live.__getitem__
     order: list[int] = []
     for members in sccs:
-        if any(final[v] or any(live[w] for w in succ[v]) for v in members):
+        if any(final[v] or any(map(is_live, succ[v])) for v in members):
             if len(members) > 1:
                 cycle = _cycle_from(min(members), comp, succ)
                 raise InfinitePathSetError([dg.nodes[v] for v in cycle])
             live[members[0]] = True
             order.append(members[0])
+    _set_live(dg, (order, live))
     return order, live
 
 
@@ -630,10 +649,30 @@ def count_paths(g: Graph, h: Graph) -> int:
 
 def _canonical_rotation(seq: Sequence, key: Callable[[Any], tuple] = _node_order) -> Sequence:
     """The least rotation of ``seq`` by its items' keys, in node order by
-    default; ties go to the first least index."""
+    default; ties go to the first least index.
+
+    Booth's least-rotation algorithm (Booth 1980): a failure function over
+    the keys taken twice, so it makes O(len(seq)) key comparisons.
+    """
     keys = [key(n) for n in seq]
-    i = min(range(len(seq)), key=lambda i: keys[i:] + keys[:i])
-    return seq[i:] + seq[:i]
+    keys += keys
+    # fail[d]: the failure function of the first d + 1 keys from k
+    fail = [-1] * len(keys)
+    k = 0  # the least rotation's start so far
+    for j in range(1, len(keys)):
+        kj = keys[j]
+        i = fail[j - k - 1]
+        while i != -1 and kj != keys[k + i + 1]:
+            if kj < keys[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and kj != keys[k]:
+            if kj < keys[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return seq[k:] + seq[:k]
 
 
 def _is_periodic(seq: tuple[DerivedNode, ...]) -> bool:
@@ -699,9 +738,34 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
     if mode not in MODES:
         raise ValueError(f"unknown cycle mode {mode!r}")
     dg = derived_graph(g, h)
+    nodes = dg.nodes
+    representatives = [tuple(nodes[v] for v in cycle) for cycle in _cycle_list(dg)]
+    if mode == DIRECTED:
+        return [CycleClass(seq, DIRECTED) for seq in representatives]
+
+    # Keep the first cycle of each reversal pair: the representatives are
+    # sorted, so it is the least canonical form of the pair.
+    owner = {(side, e.src, e.tgt): i for i, seq in enumerate(representatives) for side, e in seq}
+    merged: list[CycleClass] = []
+    for i, seq in enumerate(representatives):
+        partner = [owner.get((side, e.tgt, e.src)) for side, e in seq]
+        if None in partner or partner[0] >= i:
+            merged.append(CycleClass(seq, UNORIENTED))
+    return merged
+
+
+def _cycle_list(dg: DerivedGraph) -> list[list[int]]:
+    """The prime cycles of ``dg`` as node-number lists, each its least
+    rotation, sorted; both modes of `prime_cycles` read them.  Raises
+    InfiniteCycleSetError when a nontrivial component is not one simple
+    cycle.  The result is kept on ``dg``; an infinite set is found again
+    on each call."""
+    kept = dg._cycles
+    if kept is not None:
+        return kept
     nodes, succ = dg.nodes, dg.succ
     sccs, comp = _sccs(succ, range(len(succ)))
-    cycles: list[list[int]] = []  # as node numbers
+    cycles: list[list[int]] = []
     for c, members in enumerate(sccs):
         if len(members) == 1:
             # No self-arcs can exist (an arc needs opposite sides), so a
@@ -721,18 +785,6 @@ def prime_cycles(g: Graph, h: Graph, mode: str = DIRECTED) -> list[CycleClass]:
         if least + 1 < len(nodes) and _node_order(nodes[least]) == _node_order(nodes[least + 1]):
             cycle = _canonical_rotation(cycle, lambda v: _node_order(nodes[v]))
         cycles.append(cycle)
-
     cycles.sort()
-    representatives = [tuple(nodes[v] for v in cycle) for cycle in cycles]
-    if mode == DIRECTED:
-        return [CycleClass(seq, DIRECTED) for seq in representatives]
-
-    # Keep the first cycle of each reversal pair: the representatives are
-    # sorted, so it is the least canonical form of the pair.
-    owner = {(side, e.src, e.tgt): i for i, seq in enumerate(representatives) for side, e in seq}
-    merged: list[CycleClass] = []
-    for i, seq in enumerate(representatives):
-        partner = [owner.get((side, e.tgt, e.src)) for side, e in seq]
-        if None in partner or partner[0] >= i:
-            merged.append(CycleClass(seq, UNORIENTED))
-    return merged
+    _set_cycles(dg, cycles)
+    return cycles

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -18,6 +20,7 @@ from intgraphs.cob0 import (
     target_point as tp,
 )
 from intgraphs.functor import (
+    SegmentEdgeId,
     check_faithfulness,
     check_functoriality,
     functor_bar,
@@ -256,3 +259,33 @@ class TestFaithfulness:
         g0 = functor_bar(three_strand_cobordism(0))
         assert g2.graph == g0.graph
         assert g2.wager != g0.wager
+
+
+def _token_by_formula(sid: SegmentEdgeId) -> str:
+    tok = lambda v: f"{v[0]}.{v[1]}" if isinstance(v, tuple) and len(v) == 2 else str(v)
+    return f"seg:{tok(sid.src)}>{tok(sid.tgt)}"
+
+
+class TestSegmentEdgeId:
+    ENDS = [
+        (dom_vertex("a1"), cod_vertex(2)),
+        (("d", (1, 2)), "loose"),
+        (("d", "x", "y"), ("c", 1.5)),
+    ]
+
+    @pytest.mark.parametrize("rendered", [False, True], ids=["plain", "rendered"])
+    @pytest.mark.parametrize("ends", ENDS)
+    def test_the_kept_token_is_not_a_field(self, ends, rendered):
+        sid, twin = SegmentEdgeId(*ends), SegmentEdgeId(*ends)
+        if rendered:
+            # the second str reads the kept token
+            assert str(sid) == str(sid) == _token_by_formula(twin)
+        assert sid == twin and hash(sid) == hash(twin) and repr(sid) == repr(twin)
+        assert [f.name for f in dataclasses.fields(sid)] == ["src", "tgt"]
+        assert dataclasses.astuple(sid) == ends
+        moved = dataclasses.replace(sid, tgt=("c", "z"))
+        assert moved == SegmentEdgeId(ends[0], ("c", "z"))
+        assert str(moved) == _token_by_formula(moved)
+        for clone in (copy.copy(sid), pickle.loads(pickle.dumps(sid))):
+            assert clone == twin and hash(clone) == hash(twin) and repr(clone) == repr(twin)
+            assert str(clone) == _token_by_formula(twin)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -552,3 +553,55 @@ class TestCanonicalRotation:
         assert _canonical_rotation((a, b, c, b)) == (a, b, c, b)
         assert _canonical_rotation((c, b, a, b)) == (c, b, a, b)
         assert _canonical_rotation((b, c, b, a)) == (c, b, a, b)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 2), min_size=1, max_size=12),
+            # periodic: a short word repeated, so several rotations tie
+            st.tuples(
+                st.lists(st.integers(0, 2), min_size=1, max_size=4), st.integers(1, 5)
+            ).map(lambda word_times: word_times[0] * word_times[1]),
+        )
+    )
+    def test_picks_the_rotation_the_brute_force_picks(self, keys):
+        # each item carries its index, so a tied rotation that starts at
+        # another index reads apart
+        seq = tuple(enumerate(keys))
+        start = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
+        assert _canonical_rotation(seq, operator.itemgetter(1)) == seq[start:] + seq[:start]
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda n: [0] * n,
+            lambda n: [0, 1] * (n // 2),
+            lambda n: [0] * (n - 1) + [1],
+            lambda n: [1] + [0] * (n - 1),
+            lambda n: ([0] * 9 + [1]) * (n // 10),
+            lambda n: random.Random(n).choices(range(3), k=n),
+        ],
+        ids=["constant", "period-2", "last-greatest", "first-greatest", "period-10", "random"],
+    )
+    def test_makes_a_linear_number_of_key_comparisons(self, family):
+        comparisons = 0
+
+        class Key:
+            __slots__ = ("value",)
+
+            def __init__(self, value):
+                self.value = value
+
+            def _compare(self, op, other):
+                nonlocal comparisons
+                comparisons += 1
+                return op(self.value, other.value)
+
+            __eq__ = lambda self, other: self._compare(operator.eq, other)
+            __ne__ = lambda self, other: self._compare(operator.ne, other)
+            __lt__ = lambda self, other: self._compare(operator.lt, other)
+            __gt__ = lambda self, other: self._compare(operator.gt, other)
+
+        for n in (500, 1000):
+            comparisons = 0
+            _canonical_rotation(family(n), Key)
+            assert comparisons <= 8 * n

@@ -1,6 +1,7 @@
 """The derived-graph kernel's invariants, checked on random pairs against
 facts computed here straight from the two graphs' edge lists, the path
-counter, and the reuse of the last derived graph."""
+counter, and the reuse of the last derived graph and of the results kept
+on it."""
 
 from __future__ import annotations
 
@@ -20,11 +21,12 @@ from intgraphs import graph
 from intgraphs.bimodular import BimodularGraph, OrbitCapExceededError, bimod_execute
 from intgraphs.campaigns import random_bimodular_pair, random_pair, trial_rng
 from intgraphs.cob0 import SRC, TGT, cob0_morphism
-from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened
+from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened, measure
 from intgraphs.formats import render_graph
 from intgraphs.functor import check_functoriality
 from intgraphs.graph import (
     DIRECTED,
+    UNORIENTED,
     DerivedGraph,
     Edge,
     Graph,
@@ -310,11 +312,14 @@ def _memo_pair() -> tuple[Graph, Graph]:
     return g, h
 
 
+def _copies(g: Graph, h: Graph) -> tuple[Graph, Graph]:
+    """Equal copies of g and h, which no memo can hold."""
+    return Graph(set(g.vertices), list(g.edges)), Graph(set(h.vertices), list(h.edges))
+
+
 def _fresh(g: Graph, h: Graph) -> DerivedGraph:
-    """The derived graph of copies of g and h, which no memo can hold."""
-    return derived_graph(
-        Graph(set(g.vertices), list(g.edges)), Graph(set(h.vertices), list(h.edges))
-    )
+    """The derived graph of copies of g and h."""
+    return derived_graph(*_copies(g, h))
 
 
 def _builds(monkeypatch) -> list:
@@ -384,6 +389,99 @@ def test_one_functoriality_check_builds_one_derived_graph(monkeypatch):
     report = check_functoriality(cup, cap)
     assert report.passed and report.details["measure_unoriented"] == "1"
     assert len(built) == 1
+
+
+def _scc_passes(monkeypatch) -> list:
+    """Record every Tarjan pass the kernel runs from now on."""
+    passes: list = []
+    real = graph._sccs
+
+    def counted(succ, roots):
+        passes.append(succ)
+        return real(succ, roots)
+
+    monkeypatch.setattr(graph, "_sccs", counted)
+    return passes
+
+
+def test_one_functoriality_check_makes_two_scc_passes(monkeypatch):
+    # one from the initial nodes for the paths of int_compose, one over
+    # all nodes for both cycle measures
+    cup = cob0_morphism([], [1, 2], [[(TGT, 1), (TGT, 2)]])
+    cap = cob0_morphism([1, 2], [], [[(SRC, 1), (SRC, 2)]])
+    passes = _scc_passes(monkeypatch)
+    assert check_functoriality(cup, cap).passed
+    assert len(passes) == 2
+
+
+def test_both_measures_of_one_pair_share_one_cycle_pass(monkeypatch):
+    g, h = _memo_pair()
+    passes = _scc_passes(monkeypatch)
+    assert (measure(g, h, UNORIENTED), measure(g, h, DIRECTED)) == (1, 2)
+    assert len(passes) == 1
+
+
+def test_a_second_path_enumeration_of_one_pair_makes_no_scc_pass(monkeypatch):
+    g, h = diamond_chain(2, 3)
+    first = alternating_paths(g, h)
+    passes = _scc_passes(monkeypatch)
+    assert alternating_paths(g, h) == first
+    assert count_paths(g, h) == len(first) == 16
+    assert passes == []
+
+
+def test_prime_cycles_hands_out_a_new_list_each_call():
+    g, h = _memo_pair()
+    expected = prime_cycles(*_copies(g, h), DIRECTED)
+    first = prime_cycles(g, h, DIRECTED)
+    assert first == expected and len(first) == 2
+    first.clear()
+    again = prime_cycles(g, h, DIRECTED)
+    assert again is not first
+    assert again == expected
+
+
+@given(seeds, st.sampled_from([(DIRECTED, UNORIENTED), (UNORIENTED, DIRECTED)]))
+@settings(max_examples=100, deadline=None)
+def test_kept_results_give_what_a_fresh_pair_gives(seed, modes):
+    # dense pairs: some with cycles, some with infinite sets
+    g, h = _pair(seed, 11, max_edges=10)
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except (InfinitePathSetError, InfiniteCycleSetError) as err:
+            return type(err), str(err)
+
+    fresh = {mode: outcome(prime_cycles, *_copies(g, h), mode) for mode in modes}
+    fresh_count = outcome(count_paths, *_copies(g, h))
+    assert [outcome(prime_cycles, g, h, mode) for mode in modes * 2] == [
+        fresh[mode] for mode in modes * 2
+    ]
+    paths = outcome(alternating_paths, g, h)
+    if isinstance(paths, list):
+        paths.clear()
+    assert outcome(count_paths, g, h) == fresh_count
+
+
+def test_an_infinite_set_raises_alike_each_time():
+    g = Graph({"a", "b", "c"}, [("e", "a", "b"), ("g", "c", "b")])
+    h = Graph({"b", "c", "y"}, [("f", "b", "c"), ("z", "b", "y")])
+    errors = []
+    for run in (alternating_paths, count_paths, alternating_paths):
+        with pytest.raises(InfinitePathSetError) as err:
+            run(g, h)
+        errors.append((str(err.value), err.value.witness))
+    assert errors == [errors[0]] * 3
+
+    g = Graph({"a", "b"}, [("e", "a", "b"), ("f", "b", "a"), ("e2", "a", "b")])
+    h = Graph({"a", "b"}, [("x", "b", "a"), ("y", "a", "b")])
+    errors = []
+    for mode in (DIRECTED, UNORIENTED, DIRECTED):
+        with pytest.raises(InfiniteCycleSetError) as err:
+            prime_cycles(g, h, mode)
+        errors.append((str(err.value), err.value.node, err.value.branches))
+    assert errors == [errors[0]] * 3
 
 
 def test_bimodular_then_plain_execution_of_one_pair_builds_once(monkeypatch):
