@@ -1,6 +1,8 @@
 """Acceptance suite: every release criterion at its stated bound.
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them all).
+Criteria 1-5 and 8 run their campaigns through the session's shared runs
+(``campaign_run`` in conftest.py), which the golden reports reuse.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def test_criterion_1_associativity_campaign():
-    result = campaign_associativity(trials=1000, seed=42, max_vertices=8, max_edges=8)
+def test_criterion_1_associativity_campaign(campaign_run):
+    result = campaign_run(
+        campaign_associativity, trials=1000, seed=42, max_vertices=8, max_edges=8
+    )
     ok = (result.passed, result.failed, result.skipped) == (846, 0, 154)
     ok = ok and result.elapsed < 30.0
     _report(
@@ -80,8 +84,10 @@ def test_criterion_1_associativity_campaign():
     )
 
 
-def test_criterion_2_trefoil_campaign():
-    result = campaign_trefoil(trials=1000, seed=42, max_vertices=8, max_edges=8)
+def test_criterion_2_trefoil_campaign(campaign_run):
+    result = campaign_run(
+        campaign_trefoil, trials=1000, seed=42, max_vertices=8, max_edges=8
+    )
     ok = (result.passed, result.failed, result.skipped) == (603, 0, 397)
     ok = ok and result.elapsed < 30.0
     _report(
@@ -93,8 +99,8 @@ def test_criterion_2_trefoil_campaign():
     )
 
 
-def test_criterion_3_cob0_category_laws():
-    result = campaign_cob0_laws(bound=3)
+def test_criterion_3_cob0_category_laws(campaign_run):
+    result = campaign_run(campaign_cob0_laws, bound=3)
     ok = (result.passed, result.failed, result.skipped) == (43_064, 0, 0)
     ok = ok and result.elapsed < 60.0
     _report(
@@ -107,8 +113,8 @@ def test_criterion_3_cob0_category_laws():
     )
 
 
-def test_criterion_4_functoriality():
-    result = campaign_functor(bound=3)
+def test_criterion_4_functoriality(campaign_run):
+    result = campaign_run(campaign_functor, bound=3)
     ok = (result.passed, result.failed, result.skipped) == (3_240, 0, 0)
     ok = ok and result.notes["directed_is_twice_unoriented"]
     _report(
@@ -120,8 +126,8 @@ def test_criterion_4_functoriality():
     )
 
 
-def test_criterion_5_faithfulness():
-    result = campaign_faithful(bound=6)
+def test_criterion_5_faithfulness(campaign_run):
+    result = campaign_run(campaign_faithful, bound=6)
     images = result.notes["images_by_boundary_size"]
     ok = (result.passed, result.failed, result.skipped) == (28, 0, 0)
     ok = ok and images.get(6) == 45
@@ -208,8 +214,8 @@ def test_criterion_7_finiteness_detector_matches_oracle():
     )
 
 
-def test_criterion_8_bimodular():
-    degeneracy = campaign_bimod_degeneracy(trials=500, seed=42)
+def test_criterion_8_bimodular(campaign_run):
+    degeneracy = campaign_run(campaign_bimod_degeneracy, trials=500, seed=42)
     ok = (degeneracy.passed, degeneracy.failed, degeneracy.skipped) == (472, 0, 28)
 
     # cyclic-2 swap against a single trivially-acted edge: one orbit
@@ -222,7 +228,7 @@ def test_criterion_8_bimodular():
     g = BimodularGraph(g_graph, groups={"m": z2})
     ok = ok and len(bimod_compose2(f, g).graph.edges) == 1
 
-    well_defined = campaign_bimod_well_defined(trials=200, seed=42)
+    well_defined = campaign_run(campaign_bimod_well_defined, trials=200, seed=42)
     ok = ok and (well_defined.passed, well_defined.failed, well_defined.skipped) == (192, 0, 8)
     _report(
         8,
