@@ -8,23 +8,25 @@ union of A and B (the segments) plus a count of closed circles.  Boundary
 points carry side tags, so A and B may reuse labels, and a pair may sit
 entirely inside one side.
 
-Each morphism keeps its matching as a point -> mate table.  The public
-constructor fills it in the same single pass over the pairs that checks
-each pair's size and rejects a point seen twice; one comparison of the
-table's keys with the boundary then finds unknown and missing points.
+Each morphism keeps its matching as two tables keyed by plain label, one
+per side: a source label's mate point and a target label's mate point.
+The public constructor checks each pair's size and rejects a point seen
+twice in a single pass over the pairs; one comparison with the boundary
+then finds unknown and missing points, and the two tables are filled.
 Composition glues along the shared middle object with one chase: from each
-outer boundary point, alternately follow the two tables through the middle
-(m's target point x is n's source point x) until another outer point is
-reached, recording only the middle labels passed.  The outer points are
-the keys of the two tables themselves, m's source points and n's target
-points, so none is tagged again.  The composite's pairs come out already
-tagged, and `decompose_segment` rebuilds a pair's operand segments from
-the same labels.  The composite's mate table comes from the chase too,
-which records both ends of each chain, so the composite is not checked
-again.  Middle points not on any such open chain lie on closed
-alternating chains, each of which becomes a new circle.  Open chains pass
-each middle label at most once, so the pass that walks the closed chains
-runs only when they pass fewer labels than the middle object has.
+outer boundary point, alternately follow the two matchings through the
+middle (m's target label x is n's source label x) until another outer
+point is reached, recording only the middle labels passed.  Every step
+looks up a plain label, whose hash is cached, so no tagged point is built
+or hashed on the way.  The outer points are the keys of m's source table
+and n's target table.  The composite's pairs come out already tagged, and
+`decompose_segment` rebuilds a pair's operand segments from the same
+labels.  The composite's tables come from the chase too, which records
+both ends of each chain, so the composite is not checked again.  Middle
+points not on any such open chain lie on closed alternating chains, each
+of which becomes a new circle.  Open chains pass each middle label at
+most once, so the pass that walks the closed chains runs only when they
+pass fewer labels than the middle object has.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ class Cob0Morphism:
     """A perfect matching on the tagged boundary points plus a circle count.
 
     ``Cob0Morphism(...)`` checks the circle count and that the pairs match
-    every boundary point exactly once (ValueError), and builds the mate
-    table.  The composites of `cob0_compose` are built by `_glued`, which
-    checks nothing: the chase pairs every outer point with the other end
-    of its chain, once each, and fills the mate table as it goes.
+    every boundary point exactly once (ValueError), and builds the two
+    label tables.  The composites of `cob0_compose` are built by `_glued`,
+    which checks nothing: the chase pairs every outer point with the other
+    end of its chain, once each, and fills the two tables as it goes.
     """
 
     source: frozenset
@@ -93,8 +95,13 @@ class Cob0Morphism:
                 "matching must cover every boundary point, "
                 f"missing {show_items(points - mates.keys())}"
             )
-        # Not a field, so equality, hashing and repr still see only the pairs.
-        object.__setattr__(self, "_mates", mates)
+        src: dict = {}
+        tgt: dict = {}
+        for (tag, label), q in mates.items():
+            (src if tag == SRC else tgt)[label] = q
+        # Not fields, so equality, hashing and repr still see only the pairs.
+        object.__setattr__(self, "_src", src)
+        object.__setattr__(self, "_tgt", tgt)
 
     @classmethod
     def _glued(
@@ -103,21 +110,35 @@ class Cob0Morphism:
         target: frozenset,
         pairs: frozenset[frozenset],
         circles: int,
-        mates: dict,
+        src: dict,
+        tgt: dict,
     ) -> Cob0Morphism:
-        """A morphism whose matching the caller has checked, with its mate
-        table filled in; nothing is checked or computed here."""
+        """A morphism whose matching the caller has checked, with its two
+        label tables filled in; nothing is checked or computed here."""
         morphism = object.__new__(cls)
         fields = morphism.__dict__
         fields["source"] = source
         fields["target"] = target
         fields["pairs"] = pairs
         fields["circles"] = circles
-        fields["_mates"] = mates
+        fields["_src"] = src
+        fields["_tgt"] = tgt
         return morphism
 
     def mate(self, point: TaggedPoint) -> TaggedPoint:
-        return self._mates[point]
+        """The other end of point's segment; KeyError unless point is one
+        of the boundary points."""
+        if _is_outer(self, self, point):
+            return (self._src if point[0] == SRC else self._tgt)[point[1]]
+        raise KeyError(point)
+
+
+def _is_outer(m: Cob0Morphism, n: Cob0Morphism, point: Any) -> bool:
+    """Whether point is a source point of m or a target point of n."""
+    if not isinstance(point, tuple) or len(point) != 2:
+        return False
+    tag, label = point
+    return label in m._src if tag == SRC else tag == TGT and label in n._tgt
 
 
 def _check_count(name: str, value: Any) -> None:
@@ -169,22 +190,22 @@ def _check_interface(m: Cob0Morphism, n: Cob0Morphism) -> None:
         )
 
 
-def _chase(m: Cob0Morphism, n: Cob0Morphism, start: TaggedPoint) -> tuple[list, TaggedPoint]:
-    """Follow the two matchings from an outer point (a source point of m or
-    a target point of n) to the other end of its chain.
+def _chase(m: Cob0Morphism, n: Cob0Morphism, in_m: bool, label: Any, passed: list) -> TaggedPoint:
+    """Follow the two matchings from an outer point, m's source label
+    ``label`` if in_m and else n's target label, to the other end of its
+    chain.
 
-    Returns the labels of the middle points passed, in order, and the other
-    end.  A middle label x is m's point (TGT, x) and n's point (SRC, x).
+    Appends the labels of the middle points passed, in order, to passed
+    and returns the other end.  A middle label x is m's target label and
+    n's source label.
     """
-    labels = []
-    in_m = start[0] == SRC
-    end = (m if in_m else n)._mates[start]
+    end = (m._src if in_m else n._tgt)[label]
     while end[0] == (TGT if in_m else SRC):
         x = end[1]
-        labels.append(x)
+        passed.append(x)
         in_m = not in_m
-        end = m._mates[(TGT, x)] if in_m else n._mates[(SRC, x)]
-    return labels, end
+        end = m._tgt[x] if in_m else n._src[x]
+    return end
 
 
 def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
@@ -194,19 +215,18 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     chains each contribute one circle on top of the operands' counts.
     """
     _check_interface(m, n)
-    ends: dict = {}  # the composite's mate table
+    src: dict = {}  # the composite's tables
+    tgt: dict = {}
     passed = []  # middle labels on open chains, each once
     new_pairs = []
-    # The outer points are the tables' own keys: m's source points and n's
-    # target points.
-    for mates, middle in ((m._mates, TGT), (n._mates, SRC)):
-        for p in mates:
-            if p[0] == middle or p in ends:
+    for in_m, starts, tag, table in ((True, m._src, SRC, src), (False, n._tgt, TGT, tgt)):
+        for label in starts:
+            if label in table:
                 continue
-            labels, end = _chase(m, n, p)
-            ends[p] = end
-            ends[end] = p
-            passed += labels
+            p = (tag, label)
+            end = _chase(m, n, in_m, label, passed)
+            table[label] = end
+            (src if end[0] == SRC else tgt)[end[1]] = p
             new_pairs.append(frozenset((p, end)))
 
     # Open chains pass each label at most once, so when they pass all of
@@ -214,6 +234,7 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     closed = 0
     if len(passed) < len(m.target):
         walked = set(passed)  # middle labels already on some chain
+        m_tgt, n_src = m._tgt, n._src
         for b in m.target:
             if b in walked:
                 continue
@@ -221,14 +242,14 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
             cur = b
             while True:
                 walked.add(cur)
-                cur = m._mates[(TGT, cur)][1]
+                cur = m_tgt[cur][1]
                 walked.add(cur)
-                cur = n._mates[(SRC, cur)][1]
+                cur = n_src[cur][1]
                 if cur == b:
                     break
 
     return Cob0Morphism._glued(
-        m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed, ends
+        m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed, src, tgt
     )
 
 
@@ -260,14 +281,12 @@ def decompose_segment(
     pair of the composite m;n."""
     _check_interface(m, n)
     pair = frozenset(composite_pair)
-    outer = [
-        p for p in pair
-        if (p in m._mates and p[0] == SRC) or (p in n._mates and p[0] == TGT)
-    ]
+    outer = [p for p in pair if _is_outer(m, n, p)]
     if len(outer) != 2:
         raise NotACompositeError(f"{show_items(pair)} is not two outer boundary points")
     start = min(pair, key=_order_key)
-    labels, end = _chase(m, n, start)
+    labels: list = []
+    end = _chase(m, n, start[0] == SRC, start[1], labels)
     if pair != {start, end}:
         raise NotACompositeError(f"{show_items(pair)} is not a pair of the composite")
     segments = []

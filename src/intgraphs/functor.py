@@ -91,7 +91,7 @@ def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
         edges.append(Edge(SegmentEdgeId(u, v), u, v))
         edges.append(Edge(SegmentEdgeId(v, u), v, u))
     image = IntMorphism(m.source, m.target, Graph(vertices, edges))
-    # Not a field, as with Cob0Morphism._mates: ==, hash, repr and
+    # Not a field, as with Cob0Morphism's label tables: ==, hash, repr and
     # dataclasses.replace see only the matching and the circle count.
     object.__setattr__(m, "_fundamental_graph", image)
     return image

@@ -97,7 +97,8 @@ class TestConstruction:
 
     def test_mate_of_unknown_point_raises_key_error(self):
         m = cob0_morphism({"x"}, {"x"}, [(sp("x"), tp("x"))])
-        for point in (sp("y"), tp(1), "x"):
+        malformed = (("src",), ("src", "x", "y"), ("other", "x"), "sx")
+        for point in (sp("y"), tp(1), "x") + malformed:
             with pytest.raises(KeyError):
                 m.mate(point)
 
@@ -211,6 +212,8 @@ class TestDecompose:
         [
             {sp("a1"), sp("zz")},  # unknown point
             {sp("a1"), 7},  # not a tagged point at all
+            {sp("a1"), ("src", "a2", "x")},  # a 3-tuple
+            {sp("a1"), "sx"},  # a two-character string
             {sp("a1")},  # one point
             {sp("a1"), sp("a2"), tp("c1")},  # three points
             {sp("a1"), tp("b1")},  # m's target point lies in the middle
@@ -368,6 +371,34 @@ class TestAgainstOracle:
                     compared += 1
         assert compared == 23975
 
+    def test_composite_operands_match_components_on_shared_labels(self):
+        # A composite built by `_glued` glued again, on either side, against
+        # the oracle glued with a public rebuild of the oracle's composite.
+        pool = (1, "1", "a", "b")
+        objects = [frozenset(c) for k in range(3) for c in itertools.combinations(pool, k)]
+        homs = {
+            (a, b): cob0_enumerate(a, b, 0) for a, b in itertools.product(objects, repeat=2)
+        }
+        composites = {key: [] for key in homs}  # each with its oracle rebuild
+        for a, b, c in itertools.product(objects, repeat=3):
+            for m in homs[a, b]:
+                for n in homs[b, c]:
+                    rebuilt = Cob0Morphism(a, c, *oracle_cob0_compose(m, n))
+                    composites[a, c].append((cob0_compose(m, n), rebuilt))
+        compared = 0
+        for a, b, c in itertools.product(objects, repeat=3):
+            for glued, rebuilt in composites[a, b]:
+                for p in homs[b, c]:
+                    comp = cob0_compose(glued, p)  # (m;n);p
+                    assert (comp.pairs, comp.circles) == oracle_cob0_compose(rebuilt, p)
+                    compared += 1
+            for m in homs[a, b]:
+                for glued, rebuilt in composites[b, c]:
+                    comp = cob0_compose(m, glued)  # m;(n;p)
+                    assert (comp.pairs, comp.circles) == oracle_cob0_compose(m, rebuilt)
+                    compared += 1
+        assert compared == 2 * 40889
+
     @pytest.mark.parametrize("a, b, c", LONG_CHAIN_OBJECTS)
     def test_long_chains_through_larger_middles(self, a, b, c):
         # Middles of size <= 3 hold at most one pair of each operand on a
@@ -402,10 +433,10 @@ class TestGluedComposite:
         chases = 0
         chase = cob0._chase
 
-        def counted_chase(m, n, start):
+        def counted_chase(m, n, in_m, label, passed):
             nonlocal chases
             chases += 1
-            return chase(m, n, start)
+            return chase(m, n, in_m, label, passed)
 
         monkeypatch.setattr(cob0, "_chase", counted_chase)
         glued = 0
@@ -419,8 +450,9 @@ class TestGluedComposite:
             assert c == public
             assert hash(c) == hash(public)
             assert repr(c) == repr(public)
-            assert c._mates == public._mates
-            for point in public._mates:
+            assert (c._src, c._tgt) == (public._src, public._tgt)
+            points = [sp(a) for a in public._src] + [tp(b) for b in public._tgt]
+            for point in points:
                 assert c.mate(point) == public.mate(point)
             assert fundamental_graph(c) == fundamental_graph(public)
             glued += 1
