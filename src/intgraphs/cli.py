@@ -10,6 +10,7 @@ cycle set (with a witness printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -147,7 +148,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK if result.ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="intgraphs",
         description=(

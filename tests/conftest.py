@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import pytest
+
+from intgraphs import cli
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +30,11 @@ def campaign_run():
         return results[key]
 
     return run
+
+
+@pytest.fixture
+def shared_campaigns(monkeypatch, campaign_run):
+    """Route the CLI's campaigns through the session's shared runs."""
+    for name, campaign in list(vars(cli).items()):
+        if name.startswith("campaign_"):
+            monkeypatch.setattr(cli, name, functools.partial(campaign_run, campaign))

@@ -85,13 +85,6 @@ class TestDot:
         assert code == 0
         assert out == 'digraph "arrow_ab" {\n  "a";\n  "b";\n  "a" -> "b" [label="e"];\n}\n'
 
-    def test_missing_file_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "missing.graph"
-        code, out, err = run(capsys, "dot", str(missing))
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: cannot read {missing}: ")
-
     @pytest.mark.parametrize(
         "command",
         [
@@ -104,11 +97,12 @@ class TestDot:
     @pytest.mark.parametrize(
         "make, reason",
         [
+            (lambda p: None, "[Errno 2] No such file or directory"),
             (lambda p: p.write_bytes(b"graph F\nvertex \xff\n"),
              "'utf-8' codec can't decode byte 0xff"),
             (lambda p: p.mkdir(), "[Errno 21] Is a directory"),
         ],
-        ids=["not-utf-8", "directory"],
+        ids=["missing", "not-utf-8", "directory"],
     )
     def test_an_unreadable_file_exits_2(self, tmp_path, capsys, command, make, reason):
         # an input error, not a traceback with the violation code 1
@@ -145,7 +139,11 @@ class TestMeasure:
 class TestRunAsModule:
     @pytest.mark.parametrize(
         "argv, code",
-        [(["measure", "two_cycle_left.graph", "two_cycle_right.graph"], 0), (["dot"], 2)],
+        [
+            (["measure", "two_cycle_left.graph", "two_cycle_right.graph"], 0),
+            (["dot"], 2),
+            (["dot", "missing.graph"], 2),
+        ],
     )
     def test_exit_code_is_mains_return_value(self, monkeypatch, capsys, argv, code):
         # what `python -m intgraphs.cli` runs, in this process; the loaded

@@ -18,7 +18,6 @@ and read the diff before committing it.
 from __future__ import annotations
 
 import difflib
-import functools
 import hashlib
 import io
 import os
@@ -173,26 +172,9 @@ def _check(family: str, outcomes: Iterable[tuple[str, Outcome]]) -> None:
         pytest.fail(message, pytrace=False)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def one_parser():
-    """Building the parser is most of a sample command's cost in process,
-    and parsing leaves the parser as it was, so the runs share one."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
-        yield
-
-
 @pytest.fixture(scope="module")
 def sample_outcomes() -> dict[str, Outcome]:
     return {c: run(c) for c in graph_commands() + cobordism_commands()}
-
-
-@pytest.fixture
-def shared_campaigns(monkeypatch, campaign_run):
-    """Route the CLI's campaigns through the session's shared runs."""
-    for name, campaign in list(vars(cli).items()):
-        if name.startswith("campaign_"):
-            monkeypatch.setattr(cli, name, functools.partial(campaign_run, campaign))
 
 
 def test_campaign_reports_match_golden(shared_campaigns):
