@@ -8,25 +8,26 @@ union of A and B (the segments) plus a count of closed circles.  Boundary
 points carry side tags, so A and B may reuse labels, and a pair may sit
 entirely inside one side.
 
-Each morphism keeps its matching as two tables keyed by plain label, one
-per side: a source label's mate point and a target label's mate point.
-The public constructor checks each pair's size and rejects a point seen
-twice in a single pass over the pairs; one comparison with the boundary
-then finds unknown and missing points, and the two tables are filled.
-Composition glues along the shared middle object with one chase: from each
-outer boundary point, alternately follow the two matchings through the
-middle (m's target label x is n's source label x) until another outer
-point is reached, recording only the middle labels passed.  Every step
-looks up a plain label, whose hash is cached, so no tagged point is built
-or hashed on the way.  The outer points are the keys of m's source table
-and n's target table.  The composite's pairs come out already tagged, and
+Each morphism is its matching, kept as two tables keyed by plain label,
+one per side: a source label's mate point and a target label's mate
+point.  Equality and hashing agree with the tables, and ``pairs`` is
+built from them on first read.  The public constructor checks each pair's
+size and rejects a point seen twice in a single pass over the pairs; one
+comparison with the boundary then finds unknown and missing points, and
+the two tables are filled.  Composition glues along the shared middle
+object with one chase: from each outer boundary point, alternately follow
+the two matchings through the middle (m's target label x is n's source
+label x) until another outer point is reached, recording only the middle
+labels passed.  Every step looks up a plain label, whose hash is cached,
+so no tagged point is built or hashed on the way.  The outer points are
+the keys of m's source table and n's target table.  The chase records
+both ends of each chain in the composite's tables, so the composite is
+neither checked again nor given pairs until they are read, and
 `decompose_segment` rebuilds a pair's operand segments from the same
-labels.  The composite's tables come from the chase too, which records
-both ends of each chain, so the composite is not checked again.  Middle
-points not on any such open chain lie on closed alternating chains, each
-of which becomes a new circle.  Open chains pass each middle label at
-most once, so the pass that walks the closed chains runs only when they
-pass fewer labels than the middle object has.
+labels.  Middle points not on any such open chain lie on closed
+alternating chains, each of which becomes a new circle.  Open chains pass
+each middle label at most once, so the pass that walks the closed chains
+runs only when they pass fewer labels than the middle object has.
 """
 
 from __future__ import annotations
@@ -56,20 +57,43 @@ def target_point(label: Any) -> TaggedPoint:
     return (TGT, label)
 
 
-@dataclass(frozen=True)
+class _PairsFromTables:
+    """The ``pairs`` field's class attribute.  The public constructor
+    stores the pairs it was given in the instance dict, which attribute
+    lookup reads before this non-data descriptor.  A morphism built by
+    `_glued` has only its tables, so its first read of ``pairs`` lands
+    here: the pairs are built from the tables, in table order, and stored
+    in the instance dict for later reads.  Read on the class, it raises
+    AttributeError, so the field has no default."""
+
+    def __get__(self, m: Cob0Morphism | None, owner: type | None = None) -> frozenset:
+        if m is None:
+            raise AttributeError("pairs")
+        pairs = [frozenset(((SRC, a), q)) for a, q in m._src.items()]
+        pairs += [frozenset(((TGT, b), q)) for b, q in m._tgt.items() if q[0] == TGT]
+        m.__dict__["pairs"] = pairs = frozenset(pairs)
+        return pairs
+
+
+@dataclass(frozen=True, eq=False)
 class Cob0Morphism:
     """A perfect matching on the tagged boundary points plus a circle count.
 
-    ``Cob0Morphism(...)`` checks the circle count and that the pairs match
-    every boundary point exactly once (ValueError), and builds the two
-    label tables.  The composites of `cob0_compose` are built by `_glued`,
-    which checks nothing: the chase pairs every outer point with the other
-    end of its chain, once each, and fills the two tables as it goes.
+    The matching is two label tables, one per side, each mapping a label
+    to its mate point; ``==`` compares them and the circle count, and
+    ``hash`` agrees with it.  The tables determine ``source``, ``target``
+    and ``pairs``.  ``Cob0Morphism(...)`` checks the circle count and that
+    the pairs match every boundary point exactly once (ValueError), keeps
+    ``source``, ``target`` and ``pairs`` as frozensets, and builds the
+    tables.  The composites of `cob0_compose` are built by `_glued`, which
+    checks nothing: the chase pairs every outer point with the other end
+    of its chain, once each, and fills the two tables as it goes.  Their
+    ``pairs`` are built from the tables when first read.
     """
 
     source: frozenset
     target: frozenset
-    pairs: frozenset[frozenset]
+    pairs: frozenset[frozenset] = _PairsFromTables()
     circles: int = 0
 
     def __post_init__(self) -> None:
@@ -83,8 +107,11 @@ class Cob0Morphism:
                 raise ValueError(_matching_fault(self.pairs))
             mates[p] = q
             mates[q] = p
-        points = {(SRC, a) for a in self.source}
-        points.update((TGT, b) for b in self.target)
+        fields = self.__dict__
+        fields["source"] = source = frozenset(self.source)
+        fields["target"] = target = frozenset(self.target)
+        points = {(SRC, a) for a in source}
+        points.update((TGT, b) for b in target)
         if mates.keys() != points:
             unknown = mates.keys() - points
             if unknown:
@@ -95,35 +122,46 @@ class Cob0Morphism:
                 "matching must cover every boundary point, "
                 f"missing {show_items(points - mates.keys())}"
             )
+        pairs = self.pairs
+        if not isinstance(pairs, frozenset) or not all(isinstance(p, frozenset) for p in pairs):
+            fields["pairs"] = _pairs_from(pairs)  # every point is hashable, as a key of mates
         src: dict = {}
         tgt: dict = {}
         for (tag, label), q in mates.items():
             (src if tag == SRC else tgt)[label] = q
-        # Not fields, so equality, hashing and repr still see only the pairs.
-        object.__setattr__(self, "_src", src)
-        object.__setattr__(self, "_tgt", tgt)
+        # Not fields, so repr and dataclasses.replace still see the pairs.
+        fields["_src"] = src
+        fields["_tgt"] = tgt
 
     @classmethod
     def _glued(
-        cls,
-        source: frozenset,
-        target: frozenset,
-        pairs: frozenset[frozenset],
-        circles: int,
-        src: dict,
-        tgt: dict,
+        cls, source: frozenset, target: frozenset, circles: int, src: dict, tgt: dict
     ) -> Cob0Morphism:
-        """A morphism whose matching the caller has checked, with its two
-        label tables filled in; nothing is checked or computed here."""
+        """A morphism whose matching the caller has checked, given by its
+        two label tables; nothing is checked or computed here, and its
+        pairs are built when first read."""
         morphism = object.__new__(cls)
         fields = morphism.__dict__
         fields["source"] = source
         fields["target"] = target
-        fields["pairs"] = pairs
         fields["circles"] = circles
         fields["_src"] = src
         fields["_tgt"] = tgt
         return morphism
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cob0Morphism):
+            return NotImplemented
+        return (
+            self.circles == other.circles
+            and self._src == other._src
+            and self._tgt == other._tgt
+        )
+
+    def __hash__(self) -> int:
+        # the pairs are a function of the tables, so equal morphisms have
+        # equal pairs
+        return hash((self.pairs, self.circles))
 
     def mate(self, point: TaggedPoint) -> TaggedPoint:
         """The other end of point's segment; KeyError unless point is one
@@ -134,11 +172,15 @@ class Cob0Morphism:
 
 
 def _is_outer(m: Cob0Morphism, n: Cob0Morphism, point: Any) -> bool:
-    """Whether point is a source point of m or a target point of n."""
+    """Whether point is a source point of m or a target point of n; False
+    for anything else, a point with an unhashable label included."""
     if not isinstance(point, tuple) or len(point) != 2:
         return False
     tag, label = point
-    return label in m._src if tag == SRC else tag == TGT and label in n._tgt
+    try:
+        return label in m._src if tag == SRC else tag == TGT and label in n._tgt
+    except TypeError:  # an unhashable label is no key of a table
+        return False
 
 
 def _check_count(name: str, value: Any) -> None:
@@ -218,16 +260,13 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
     src: dict = {}  # the composite's tables
     tgt: dict = {}
     passed = []  # middle labels on open chains, each once
-    new_pairs = []
     for in_m, starts, tag, table in ((True, m._src, SRC, src), (False, n._tgt, TGT, tgt)):
         for label in starts:
             if label in table:
                 continue
-            p = (tag, label)
             end = _chase(m, n, in_m, label, passed)
             table[label] = end
-            (src if end[0] == SRC else tgt)[end[1]] = p
-            new_pairs.append(frozenset((p, end)))
+            (src if end[0] == SRC else tgt)[end[1]] = (tag, label)
 
     # Open chains pass each label at most once, so when they pass all of
     # them no closed chain is left.
@@ -248,9 +287,7 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
                 if cur == b:
                     break
 
-    return Cob0Morphism._glued(
-        m.source, n.target, frozenset(new_pairs), m.circles + n.circles + closed, src, tgt
-    )
+    return Cob0Morphism._glued(m.source, n.target, m.circles + n.circles + closed, src, tgt)
 
 
 @dataclass(frozen=True)

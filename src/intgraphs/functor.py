@@ -21,14 +21,25 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any
 
-from .cob0 import SRC, Cob0Morphism, cob0_compose, cob0_enumerate
+from .cob0 import SRC, TGT, Cob0Morphism, cob0_compose, cob0_enumerate
 from .execution import CheckReport
-from .graph import DIRECTED, UNORIENTED, Edge, ExtNat, Graph, _order_key, show_items
+from .graph import (
+    DIRECTED,
+    UNORIENTED,
+    Edge,
+    ExtNat,
+    Graph,
+    _order_key,
+    _set_edge_id,
+    _set_edge_src,
+    _set_edge_tgt,
+    show_items,
+)
 from .interaction import (
+    COD,
+    DOM,
     IntMorphism,
     Project,
-    cod_vertex,
-    dom_vertex,
     int_compose,
     interface_measure,
 )
@@ -60,39 +71,67 @@ class SegmentEdgeId:
         return token
 
 
-def _boundary_vertex(point: tuple[str, Any]) -> tuple[str, Any]:
-    return dom_vertex(point[1]) if point[0] == SRC else cod_vertex(point[1])
-
-
 def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
     """The graph of boundary-to-boundary traversals of a cobordism.
 
     Each matched pair {x, y} yields the two directed edges x -> y and
     y -> x; segments never produce self-loops because their endpoints are
-    distinct points.  Circles are invisible here.
+    distinct points.  Circles are invisible here.  The pairs come in the
+    `_order_key` order of their lesser point, the lesser point first.
 
     The image is built once per morphism and kept on it, so a morphism
     met in many functoriality checks keeps one image, and with it the
-    image's renamed interface views.
+    image's renamed interface views.  It is read off the two label
+    tables, each pair once, and built past the public checks of
+    SegmentEdgeId, Edge, Graph and IntMorphism: the pairs of a matching
+    are distinct and cover exactly the tagged boundary, so the edge ids
+    are distinct and every endpoint is a vertex of the image.
     """
     image = getattr(m, "_fundamental_graph", None)
     if image is not None:
         return image
-    vertices = {dom_vertex(a) for a in m.source} | {cod_vertex(b) for b in m.target}
-    # each point keyed once, for the sort within its pair and of the pairs
+    # each pair once, and each point keyed once, for the sort within its
+    # pair and of the pairs
     ends = []
-    for pair in m.pairs:
-        (kx, x), (ky, y) = sorted([(_order_key(p), p) for p in pair], key=itemgetter(0))
-        ends.append((kx, ky, x, y))
+    for tag, table in ((SRC, m._src), (TGT, m._tgt)):
+        met = set()
+        for label, q in table.items():
+            if q[0] != tag:
+                if tag == TGT:
+                    continue  # across the sides: met in the source table
+            elif label in met:
+                continue  # within one side: met from its other end
+            else:
+                met.add(q[1])
+            p = (tag, label)
+            kp, kq = _order_key(p), _order_key(q)
+            ends.append((kp, kq, p, q) if kp <= kq else (kq, kp, q, p))
     ends.sort(key=itemgetter(0, 1))
+    new = object.__new__
     edges = []
     for _, _, x, y in ends:
-        u, v = _boundary_vertex(x), _boundary_vertex(y)
-        edges.append(Edge(SegmentEdgeId(u, v), u, v))
-        edges.append(Edge(SegmentEdgeId(v, u), v, u))
-    image = IntMorphism(m.source, m.target, Graph(vertices, edges))
-    # Not a field, as with Cob0Morphism's label tables: ==, hash, repr and
-    # dataclasses.replace see only the matching and the circle count.
+        u = (DOM if x[0] == SRC else COD, x[1])
+        v = (DOM if y[0] == SRC else COD, y[1])
+        for s, t in ((u, v), (v, u)):
+            sid = new(SegmentEdgeId)
+            fields = sid.__dict__
+            fields["src"] = s
+            fields["tgt"] = t
+            e = new(Edge)
+            _set_edge_id(e, sid)
+            _set_edge_src(e, s)
+            _set_edge_tgt(e, t)
+            edges.append(e)
+    graph = new(Graph)
+    graph.vertices = frozenset([(DOM, a) for a in m.source] + [(COD, b) for b in m.target])
+    graph.edges = tuple(edges)
+    image = new(IntMorphism)
+    fields = image.__dict__
+    fields["dom"] = m.source
+    fields["cod"] = m.target
+    fields["graph"] = graph
+    # Not a field, as the label tables are not: ==, hash and repr do not
+    # see it, and dataclasses.replace builds a new image.
     object.__setattr__(m, "_fundamental_graph", image)
     return image
 

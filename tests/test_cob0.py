@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -98,9 +99,32 @@ class TestConstruction:
     def test_mate_of_unknown_point_raises_key_error(self):
         m = cob0_morphism({"x"}, {"x"}, [(sp("x"), tp("x"))])
         malformed = (("src",), ("src", "x", "y"), ("other", "x"), "sx")
-        for point in (sp("y"), tp(1), "x") + malformed:
+        unhashable = (("src", ["a"]), ("tgt", {}))
+        for point in (sp("y"), tp(1), "x") + malformed + unhashable:
             with pytest.raises(KeyError):
                 m.mate(point)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            frozenset({frozenset({sp("a"), tp("a")})}),
+            [{sp("a"), tp("a")}],
+        ],
+        ids=["frozen-pairs", "list-of-sets"],
+    )
+    def test_the_callers_containers_are_not_kept(self, pairs):
+        source, target = {"a"}, {"a"}
+        m = Cob0Morphism(source, target, pairs)
+        identity = cob0_identity({"a"})
+        assert m == identity and hash(m) == hash(identity)
+        source.add("b")
+        target.add("b")
+        if isinstance(pairs, list):
+            pairs[0].add(tp("b"))
+            pairs.append({sp("b"), tp("b")})
+        assert m == identity and hash(m) == hash(identity)
+        assert (m.source, m.target, m.pairs) == (identity.source, identity.target, identity.pairs)
+        assert all(type(x) is frozenset for x in (m.source, m.target, m.pairs, *m.pairs))
 
 
 class TestCompose:
@@ -457,3 +481,107 @@ class TestGluedComposite:
             assert fundamental_graph(c) == fundamental_graph(public)
             glued += 1
         assert glued == 1440 + 9 + 225
+
+
+def _bound_2_gluings():
+    objects = [frozenset(f"p{i}" for i in range(k)) for k in range(3)]
+    homs = {
+        (a, b): cob0_enumerate(a, b, 1)
+        for a, b in itertools.product(objects, repeat=2)
+    }
+    for a, b, c in itertools.product(objects, repeat=3):
+        for m in homs[a, b]:
+            for n in homs[b, c]:
+                yield m, n
+
+
+class TestTableEquality:
+    """A morphism's value is its circle count and its two label tables:
+    `==` compares them, `hash` agrees, and the `pairs` of a composite are
+    built from the tables when first read."""
+
+    def test_composites_equal_and_hash_as_their_rebuilds(self):
+        glued = 0
+        for m, n in _bound_2_gluings():
+            c = cob0_compose(m, n)
+            # rebuilt through the public constructor from the oracle's pairs
+            rebuilt = Cob0Morphism(c.source, c.target, *oracle_cob0_compose(m, n))
+            assert c == rebuilt and rebuilt == c
+            assert "pairs" not in vars(c)  # == reads the tables only
+            assert hash(c) == hash(rebuilt)
+            assert c.pairs == rebuilt.pairs
+            assert c.pairs is c.pairs  # built once
+            more = dataclasses.replace(c, circles=c.circles + 1)
+            assert c != more and more != c and rebuilt != more
+            glued += 1
+        assert glued == 84
+
+    def test_one_mate_apart_is_unequal(self):
+        for m, n in _bound_2_gluings():
+            c = cob0_compose(m, n)
+            points = [sp(a) for a in c._src] + [tp(b) for b in c._tgt]
+            for side, table in (("src", c._src), ("tgt", c._tgt)):
+                for label, mate in table.items():
+                    for other in points:
+                        if other == mate:
+                            continue
+                        changed = {**table, label: other}
+                        src, tgt = (changed, c._tgt) if side == "src" else (c._src, changed)
+                        apart = Cob0Morphism._glued(c.source, c.target, c.circles, src, tgt)
+                        assert c != apart and apart != c
+
+    def test_labels_that_compare_equal_give_equal_morphisms(self):
+        crossed = {
+            x: cob0_morphism({x, "a"}, {x, "a"}, [(sp(x), tp("a")), (sp("a"), tp(x))])
+            for x in (1, 1.0, True)
+        }
+        for x, y in itertools.product(crossed, repeat=2):
+            m, n = crossed[x], crossed[y]
+            assert m == n and hash(m) == hash(n)
+            # crossing twice is the identity, whichever of the labels it keeps
+            glued = cob0_compose(m, n)
+            identity = cob0_identity({y, "a"})
+            assert glued == identity and hash(glued) == hash(identity)
+            assert glued == cob0_compose(n, m) and hash(glued) == hash(cob0_compose(n, m))
+
+    def test_unequal_to_other_types(self):
+        m = cob0_identity({"a"})
+        assert m != object() and not m == object()
+        assert m != (m.source, m.target, m.pairs, m.circles)
+
+    def test_pairs_stays_a_field(self):
+        c = cob0_compose(*cap_cup_pair())
+        assert [f.name for f in dataclasses.fields(c)] == ["source", "target", "pairs", "circles"]
+        assert not hasattr(Cob0Morphism, "__getattr__")
+        assert repr(c) == (
+            f"Cob0Morphism(source={c.source!r}, target={c.target!r}, "
+            f"pairs={c.pairs!r}, circles=1)"
+        )
+        assert dataclasses.replace(c, circles=0) == Cob0Morphism(c.source, c.target, c.pairs)
+        with pytest.raises(TypeError, match="pairs"):
+            Cob0Morphism(c.source, c.target)
+
+
+class TestPairsOnlyWhenRead:
+    """The laws and functor checks read the label tables only: with
+    building `pairs` made to fail, they still pass.  Rendering a
+    counterexample may still read `pairs`."""
+
+    def test_checks_pass_without_building_pairs(self, monkeypatch):
+        from intgraphs.campaigns import campaign_cob0_laws, campaign_functor
+        from intgraphs.functor import check_functoriality
+
+        def no_pairs(self, m, owner=None):
+            if m is None:
+                raise AttributeError("pairs")
+            pytest.fail(f"pairs built for {m.source!r} -> {m.target!r}")
+
+        monkeypatch.setattr(cob0._PairsFromTables, "__get__", no_pairs)
+        assert campaign_cob0_laws(2).verdict == "PASS"
+        assert campaign_functor(2).verdict == "PASS"
+        m, n = cap_cup_pair()
+        pairs = [(m, n), (n, cob0_identity(n.target)), (cob0_compose(m, n), cob0_identity({"c1", "c2"}))]
+        for a, b, c in LONG_CHAIN_OBJECTS[:2]:
+            pairs += zip(cob0_enumerate(a, b, 1), cob0_enumerate(b, c, 1))
+        for left, right in pairs:
+            assert check_functoriality(left, right).passed

@@ -26,8 +26,8 @@ from intgraphs.functor import (
     functor_bar,
     fundamental_graph,
 )
-from intgraphs.graph import ExtNat, Graph
-from intgraphs.interaction import Project, cod_vertex, dom_vertex, int_identity
+from intgraphs.graph import Edge, ExtNat, Graph, _order_key
+from intgraphs.interaction import IntMorphism, Project, cod_vertex, dom_vertex, int_identity
 
 
 def three_strand_cobordism(circles: int) -> Cob0Morphism:
@@ -83,6 +83,55 @@ def _expected_endpoints(m: Cob0Morphism) -> Counter:
         out[(x, y)] += 1
         out[(y, x)] += 1
     return out
+
+
+def _public_image(m: Cob0Morphism) -> IntMorphism:
+    """m's image built through the public checks of Edge, Graph and
+    IntMorphism: the pairs in the `_order_key` order of their lesser
+    point, each pair's lesser point first."""
+    vertex = lambda p: dom_vertex(p[1]) if p[0] == SRC else cod_vertex(p[1])
+    pairs = sorted(
+        (sorted(pair, key=_order_key) for pair in m.pairs),
+        key=lambda xy: (_order_key(xy[0]), _order_key(xy[1])),
+    )
+    edges = []
+    for x, y in pairs:
+        u, v = vertex(x), vertex(y)
+        edges += [Edge(SegmentEdgeId(u, v), u, v), Edge(SegmentEdgeId(v, u), v, u)]
+    vertices = {dom_vertex(a) for a in m.source} | {cod_vertex(b) for b in m.target}
+    return IntMorphism(m.source, m.target, Graph(vertices, edges))
+
+
+class TestTrustedImage:
+    """fundamental_graph builds its image past the public checks; it is
+    the graph the public constructors build, edge order included."""
+
+    def test_images_equal_their_public_builds(self):
+        objects = [frozenset(f"p{i}" for i in range(k)) for k in range(4)]
+        homs = {(a, b): cob0_enumerate(a, b, 0) for a, b in itertools.product(objects, repeat=2)}
+        morphisms = [m for hom in homs.values() for m in hom]
+        composites = [
+            cob0_compose(m, n)
+            for a, b, c in itertools.product(objects, repeat=3)
+            for m, n in itertools.product(homs[a, b], homs[b, c])
+        ]
+        for m in morphisms + composites:
+            image, public = fundamental_graph(m), _public_image(m)
+            assert image == public
+            assert image.graph.vertices == public.graph.vertices
+            assert image.graph.edges == public.graph.edges
+            assert [vars(e.id) for e in image.graph.edges] == [vars(e.id) for e in public.graph.edges]
+        assert (len(morphisms), len(composites)) == (28, 360)
+
+    def test_labels_of_mixed_types_keep_the_public_order(self):
+        m = cob0_morphism(
+            {1, "1", "a"},
+            {True, "b", 2.5},
+            [(sp(1), tp("b")), (sp("1"), sp("a")), (tp(True), tp(2.5))],
+        )
+        image, public = fundamental_graph(m), _public_image(m)
+        assert image.graph.edges == public.graph.edges
+        assert image.graph.vertices == public.graph.vertices
 
 
 class TestImageMemo:
