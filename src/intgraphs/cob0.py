@@ -103,7 +103,7 @@ class Cob0Morphism:
             if len(pair) != 2:
                 raise ValueError(_matching_fault(self.pairs))
             p, q = pair
-            if p in mates or q in mates:
+            if p == q or p in mates or q in mates:
                 raise ValueError(_matching_fault(self.pairs))
             mates[p] = q
             mates[q] = p
@@ -190,9 +190,16 @@ def _check_count(name: str, value: Any) -> None:
 
 def _matching_fault(pairs: frozenset[frozenset]) -> str:
     """Why ``pairs`` is no matching, named the same whatever the set order:
-    the least pair that is not two points, else the least point in two
-    pairs."""
-    bad = [show_items(pair) for pair in pairs if len(pair) != 2]
+    the least pair that is not two distinct points, else the least point
+    in two pairs.  A pair that names one point twice shows it once, as
+    its frozenset would."""
+    bad = []
+    for pair in pairs:
+        points = list(pair)
+        if len(points) == 2 and points[0] == points[1]:
+            del points[1]
+        if len(points) != 2:
+            bad.append(show_items(points))
     if bad:
         return f"pair {min(bad)} must contain two distinct points"
     seen, repeated = set(), set()
@@ -317,7 +324,13 @@ def decompose_segment(
     """Recover the unique alternating chain of m/n segments realising one
     pair of the composite m;n."""
     _check_interface(m, n)
-    pair = frozenset(composite_pair)
+    points = list(composite_pair)
+    try:
+        pair = frozenset(points)
+    except TypeError:  # an unhashable point is no boundary point
+        raise NotACompositeError(
+            f"{show_items(points)} is not two outer boundary points"
+        ) from None
     outer = [p for p in pair if _is_outer(m, n, p)]
     if len(outer) != 2:
         raise NotACompositeError(f"{show_items(pair)} is not two outer boundary points")

@@ -89,17 +89,9 @@ def vertex_token(v: Any) -> str:
     return str(v)
 
 
-_PLAIN_STR = frozenset((str,))
-_TUPLE = frozenset((tuple,))
-
-
 def id_token(edge_id: Any) -> str:
     if not isinstance(edge_id, tuple):
         return str(edge_id)
-    # A flat id of plain strings is its own list of part tokens: one join.
-    # A str subclass may override __str__, so it takes the general path.
-    if _PLAIN_STR.issuperset(map(type, edge_id)):
-        return ".".join(edge_id)
     return ".".join([id_token(x) if isinstance(x, tuple) else str(x) for x in edge_id])
 
 
@@ -185,6 +177,10 @@ def _header(keyword: str, name: Any) -> str:
     """A block's first line, ``graph NAME`` or ``cob NAME``."""
     _token_order([str(name)], (name,).__getitem__, f"{keyword} names")
     return f"{keyword} {name}"
+
+
+_PLAIN_STR = frozenset((str,))
+_TUPLE = frozenset((tuple,))
 
 
 def _graph_tokens(graph: Graph, forbidden: str | None) -> tuple[dict, list[int], list[str]]:

@@ -33,6 +33,8 @@ from .graph import (
     _set_edge_id,
     _set_edge_src,
     _set_edge_tgt,
+    _set_edges,
+    _set_vertices,
     show_items,
 )
 from .interaction import (
@@ -123,8 +125,8 @@ def fundamental_graph(m: Cob0Morphism) -> IntMorphism:
             _set_edge_tgt(e, t)
             edges.append(e)
     graph = new(Graph)
-    graph.vertices = frozenset([(DOM, a) for a in m.source] + [(COD, b) for b in m.target])
-    graph.edges = tuple(edges)
+    _set_vertices(graph, frozenset([(DOM, a) for a in m.source] + [(COD, b) for b in m.target]))
+    _set_edges(graph, tuple(edges))
     image = new(IntMorphism)
     fields = image.__dict__
     fields["dom"] = m.source

@@ -121,7 +121,9 @@ class Graph:
     """Immutable directed multigraph with identified edges.
 
     Parallel edges and self-loops are permitted; edge ids must be unique
-    and endpoints must belong to the vertex set.
+    and endpoints must belong to the vertex set.  Both slots refuse
+    assignment and deletion; the builders fill them through the slots'
+    own setters.  Copies and pickles go through the constructor.
     """
 
     __slots__ = ("vertices", "edges")
@@ -138,8 +140,8 @@ class Graph:
             if e.tgt not in vs:
                 raise UnknownVertexError(f"edge {e.id!r}: unknown target vertex {e.tgt!r}")
             out[e.id] = e
-        self.vertices = vs
-        self.edges = tuple(out.values())
+        _set_vertices(self, vs)
+        _set_edges(self, tuple(out.values()))
 
     @classmethod
     def _executed(cls, vertices: frozenset, paths: Sequence[Path]) -> Graph:
@@ -164,8 +166,8 @@ class Graph:
                     raise DuplicateEdgeIdError(p.flat_id)
                 seen.add(p.flat_id)
         graph = new(cls)
-        graph.vertices = vertices
-        graph.edges = tuple(out.values())
+        _set_vertices(graph, vertices)
+        _set_edges(graph, tuple(out.values()))
         return graph
 
     @classmethod
@@ -183,6 +185,15 @@ class Graph:
             raise GraphError("vertex relabelling merges distinct vertices")
         return Graph(images, [Edge(e.id, send(e.src), send(e.tgt)) for e in self.edges])
 
+    def __setattr__(self, name: str, val: Any) -> None:
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.vertices, self.edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -193,6 +204,9 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+_set_vertices, _set_edges = Graph.vertices.__set__, Graph.edges.__set__
 
 
 @functools.total_ordering
@@ -429,34 +443,27 @@ class DerivedGraph:
 _set_live, _set_cycles = DerivedGraph._live.__set__, DerivedGraph._cycles.__set__
 
 
-# The last pair built and its derived graph:
-# (g, h, g.vertices, g.edges, h.vertices, h.edges, dg).
-_last_derived: tuple = (None,) * 7
+# The last pair built and its derived graph: (g, h, dg).
+_last_derived: tuple = (None, None, None)
 
 
 def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
     """The derived graph of the pair (g, h).
 
-    A call on the same two graph objects as the call before, whose vertex
-    sets and edge tuples are still the same objects, returns the same
-    `DerivedGraph` again.  The key is identity, not equality: equal graphs
-    may list tied edges in another order and number their nodes
-    differently, and hashing the content would cost more than the build.
-    Threads that race here at worst build once more.
+    A call on the same two graph objects as the call before returns the
+    same `DerivedGraph` again; a `Graph` refuses assignment, so the two
+    objects name what was built.  The key is identity, not equality:
+    equal graphs may list tied edges in another order and number their
+    nodes differently, and hashing the content would cost more than the
+    build.  Threads that race here at worst build once more.
     """
     global _last_derived
     last = _last_derived
-    # read once: the key stored below names exactly what was built
-    g_vertices, g_edges, h_vertices, h_edges = g.vertices, g.edges, h.vertices, h.edges
-    if (
-        last[0] is g and last[1] is h
-        and last[2] is g_vertices and last[3] is g_edges
-        and last[4] is h_vertices and last[5] is h_edges
-    ):
-        return last[6]
-    boundary = g_vertices ^ h_vertices
+    if last[0] is g and last[1] is h:
+        return last[2]
+    boundary = g.vertices ^ h.vertices
     nodes = sorted(
-        [(0, e) for e in g_edges] + [(1, e) for e in h_edges], key=_node_order
+        [(0, e) for e in g.edges] + [(1, e) for e in h.edges], key=_node_order
     )
     by_source: dict[tuple[int, Vertex], list[int]] = {}
     for i, (side, edge) in enumerate(nodes):
@@ -469,7 +476,7 @@ def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
         [edge.tgt in boundary for _, edge in nodes],
     )
     # one assignment, so a reader never sees a key without its result
-    _last_derived = (g, h, g_vertices, g_edges, h_vertices, h_edges, dg)
+    _last_derived = (g, h, dg)
     return dg
 
 

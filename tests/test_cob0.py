@@ -126,6 +126,27 @@ class TestConstruction:
         assert (m.source, m.target, m.pairs) == (identity.source, identity.target, identity.pairs)
         assert all(type(x) is frozenset for x in (m.source, m.target, m.pairs, *m.pairs))
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(sp("a"), sp("a")), [sp("a"), sp("a")], (sp(1), sp(True))],
+        ids=["tuple", "list", "equal-labels"],
+    )
+    def test_a_point_paired_with_itself_is_refused(self, pair):
+        # the constructor, as cob0_morphism, whose frozenset has one point
+        expected = f"pair [{sp(pair[0][1])!r}] must contain two distinct points"
+        for make in (Cob0Morphism, cob0_morphism):
+            with pytest.raises(ValueError) as err:
+                make(frozenset({pair[0][1]}), frozenset(), [pair])
+            assert str(err.value) == expected
+        # one bad pair is named, whatever the order of the pairs
+        pairs = [pair, (sp("b"), sp("c"), sp("d"))]
+        messages = set()
+        for order in (pairs, pairs[::-1]):
+            with pytest.raises(ValueError) as err:
+                Cob0Morphism(frozenset({pair[0][1], "b", "c", "d"}), frozenset(), order)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
 
 class TestCompose:
     def test_cap_cup_creates_one_circle(self):
@@ -248,6 +269,16 @@ class TestDecompose:
         m, n = cap_cup_pair()
         with pytest.raises(NotACompositeError):
             decompose_segment(m, n, frozenset(pair))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[sp(["a"]), tp("a")], (sp("a"), ("tgt", {})), [sp("a"), tp("a"), ("src", [])]],
+    )
+    def test_unhashable_points_rejected(self, pair):
+        identity = cob0_identity({"a"})
+        with pytest.raises(NotACompositeError) as err:
+            decompose_segment(identity, identity, pair)
+        assert str(err.value).endswith(" is not two outer boundary points")
 
     def test_interface_mismatch_tells_1_from_str_1(self):
         with pytest.raises(InterfaceMismatchError) as err:

@@ -20,10 +20,10 @@ import intgraphs
 from intgraphs import graph
 from intgraphs.bimodular import BimodularGraph, OrbitCapExceededError, bimod_execute
 from intgraphs.campaigns import random_bimodular_pair, random_pair, trial_rng
-from intgraphs.cob0 import SRC, TGT, cob0_morphism
+from intgraphs.cob0 import SRC, TGT, cob0_identity, cob0_morphism
 from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened, measure
 from intgraphs.formats import render_graph
-from intgraphs.functor import check_functoriality
+from intgraphs.functor import check_functoriality, fundamental_graph
 from intgraphs.graph import (
     DIRECTED,
     UNORIENTED,
@@ -40,6 +40,7 @@ from intgraphs.graph import (
     flatten,
     prime_cycles,
 )
+from intgraphs.interaction import COD
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -355,20 +356,49 @@ def test_an_equal_copy_gets_a_fresh_build(side, clone):
     assert again == first  # all four arrays
 
 
-@pytest.mark.parametrize("slot", ["edges", "vertices"])
-@pytest.mark.parametrize("side", [0, 1])
-def test_a_reassigned_slot_gets_a_fresh_build(side, slot):
-    pair = list(_memo_pair())
-    first = derived_graph(*pair)
-    changed = pair[side]
-    if slot == "edges":
-        changed.edges = changed.edges[1:]
-    else:
-        # the other graph's vertices too: none is a boundary vertex now
-        changed.vertices = changed.vertices | pair[1 - side].vertices
-    again = derived_graph(*pair)
-    assert again is not first
-    assert again == _fresh(*pair) != first
+def _pairs_of_each_build() -> list[tuple[Graph, Graph]]:
+    """A public graph, an executed graph and a functor image graph, each
+    first in a pair with a graph it shares a vertex with."""
+    executed = execute(Graph({"a", "b"}, [("x", "a", "b")]), Graph({"b", "c"}, [("y", "b", "c")]))
+    image = fundamental_graph(cob0_identity({"a"})).graph
+    return [
+        _memo_pair(),
+        (executed, Graph({"c", "d"}, [("z", "c", "d"), ("w", "d", "c")])),
+        (image, Graph({(COD, "a"), "z"}, [("t", (COD, "a"), "z")])),
+    ]
+
+
+def test_a_graph_refuses_assignment_and_keeps_its_derived_graph():
+    for g, h in _pairs_of_each_build():
+        first = derived_graph(g, h)
+        vertices, edges = g.vertices, g.edges
+        for name, value in [
+            ("vertices", vertices | h.vertices),
+            ("edges", edges[1:]),
+            ("extra", 1),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        for name in ("vertices", "edges"):
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g.vertices is vertices and g.edges is edges
+        assert derived_graph(g, h) is first
+        assert first == _fresh(g, h)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_graph_copies_and_pickles_through_its_constructor(clone):
+    for g, _ in _pairs_of_each_build():
+        again = clone(g)
+        assert type(again) is Graph and again is not g
+        assert again == g and again.edges == g.edges
+        with pytest.raises(AttributeError):
+            again.vertices = frozenset()
 
 
 def test_alternating_pairs_are_each_built_correctly(monkeypatch):
