@@ -356,6 +356,29 @@ def test_an_equal_copy_gets_a_fresh_build(side, clone):
     assert again == first  # all four arrays
 
 
+@pytest.mark.parametrize("slot", ["edges", "vertices"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_reassigned_slot_gets_a_fresh_build(side, slot):
+    # a Graph refuses the assignment, so a changed slot means a new Graph
+    pair = list(_memo_pair())
+    first = derived_graph(*pair)
+    changed = pair[side]
+    if slot == "edges":
+        value = changed.edges[1:]
+        rebuilt = Graph(changed.vertices, value)
+    else:
+        # the other graph's vertices too: none is a boundary vertex now
+        value = changed.vertices | pair[1 - side].vertices
+        rebuilt = Graph(value, changed.edges)
+    with pytest.raises(AttributeError):
+        setattr(changed, slot, value)
+    assert derived_graph(*pair) is first
+    pair[side] = rebuilt
+    again = derived_graph(*pair)
+    assert again is not first
+    assert again == _fresh(*pair) != first
+
+
 def _pairs_of_each_build() -> list[tuple[Graph, Graph]]:
     """A public graph, an executed graph and a functor image graph, each
     first in a pair with a graph it shares a vertex with."""
