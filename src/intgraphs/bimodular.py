@@ -59,39 +59,46 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Group axioms (closure, identity, inverses, associativity) are checked
-    at construction.
+    at construction.  ``_others`` holds the elements other than the
+    identity, in element order.  The slots refuse assignment and deletion,
+    since `cyclic_group` shares its instances; the constructor fills them
+    through the slots' own setters.  Copies and pickles go through the
+    constructor.
     """
 
-    __slots__ = ("name", "elements", "table", "identity", "inverses")
+    __slots__ = ("name", "elements", "table", "identity", "inverses", "_others")
 
     def __init__(self, name: str, elements: Iterable[str], table: Mapping[tuple[str, str], str]):
-        self.name = name
-        self.elements = tuple(elements)
-        self.table = dict(table)
-        if len(set(self.elements)) != len(self.elements):
+        elements = tuple(elements)
+        table = dict(table)
+        if len(set(elements)) != len(elements):
             raise ValueError("group elements must be distinct")
-        els = set(self.elements)
-        for a, b in itertools.product(self.elements, repeat=2):
-            if self.table.get((a, b)) not in els:
+        els = set(elements)
+        for a, b in itertools.product(elements, repeat=2):
+            if table.get((a, b)) not in els:
                 raise ValueError(f"multiplication table incomplete or not closed at ({a}, {b})")
         identity = None
-        for e in self.elements:
-            if all(self.table[(e, a)] == a and self.table[(a, e)] == a for a in self.elements):
+        for e in elements:
+            if all(table[(e, a)] == a and table[(a, e)] == a for a in elements):
                 identity = e
                 break
         if identity is None:
             raise ValueError("group has no identity element")
-        self.identity = identity
         inverses = {}
-        for a in self.elements:
-            inv = [b for b in self.elements if self.table[(a, b)] == identity]
-            if len(inv) != 1 or self.table[(inv[0], a)] != identity:
+        for a in elements:
+            inv = [b for b in elements if table[(a, b)] == identity]
+            if len(inv) != 1 or table[(inv[0], a)] != identity:
                 raise ValueError(f"element {a} has no unique inverse")
             inverses[a] = inv[0]
-        self.inverses = inverses
-        for a, b, c in itertools.product(self.elements, repeat=3):
-            if self.table[(self.table[(a, b)], c)] != self.table[(a, self.table[(b, c)])]:
+        for a, b, c in itertools.product(elements, repeat=3):
+            if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                 raise ValueError(f"multiplication is not associative at ({a}, {b}, {c})")
+        _set_group_name(self, name)
+        _set_group_elements(self, elements)
+        _set_group_table(self, table)
+        _set_group_identity(self, identity)
+        _set_group_inverses(self, inverses)
+        _set_group_others(self, tuple(a for a in elements if a != identity))
 
     def mul(self, a: str, b: str) -> str:
         return self.table[(a, b)]
@@ -119,8 +126,25 @@ class FiniteGroup:
     def __hash__(self) -> int:
         return hash((frozenset(self.elements), frozenset(self.table.items())))
 
+    def __setattr__(self, name: str, val: object) -> None:
+        raise AttributeError("FiniteGroup is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("FiniteGroup is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.name, self.elements, self.table)
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order {self.order})"
+
+
+_set_group_name = FiniteGroup.name.__set__
+_set_group_elements = FiniteGroup.elements.__set__
+_set_group_table = FiniteGroup.table.__set__
+_set_group_identity = FiniteGroup.identity.__set__
+_set_group_inverses = FiniteGroup.inverses.__set__
+_set_group_others = FiniteGroup._others.__set__
 
 
 def trivial_group() -> FiniteGroup:
@@ -210,11 +234,14 @@ def _action(
     table: ActionTable = {g: dict(given.get(g, unit)) for g in group.elements}
     if table[group.identity] != unit:
         raise IncompatibleActionsError(f"identity must act trivially on edge set {pair!r}")
-    for a, b in itertools.product(group.elements, repeat=2):
+    # With the identity acting trivially, a pair holding it obeys the law;
+    # ids compare as the dicts compare them, same object or equal.
+    for a, b in itertools.product(group._others, repeat=2):
         ab = table[group.mul(a, b)]
         first, then = (table[a], table[b]) if right else (table[b], table[a])
         for eid in ids:
-            if ab[eid] != then[first[eid]]:
+            x, y = ab[eid], then[first[eid]]
+            if x is not y and x != y:
                 raise IncompatibleActionsError(
                     f"{side} action is not a homomorphism at ({a}, {b}) on edge set {pair!r}"
                 )
@@ -229,7 +256,9 @@ class BimodularGraph:
     from the group at v); ``right[(v, w)][h]`` likewise with h from the
     group at w.  Missing entries default to the identity permutation.
     ``_action`` checks each side's table on each edge set, and the
-    constructor then checks that the two sides commute.
+    constructor then checks that the two sides commute.  The slots refuse
+    assignment and deletion; the constructor fills them through the slots'
+    own setters.  Copies and pickles go through the constructor.
     """
 
     __slots__ = ("graph", "groups", "left", "right", "_edges")
@@ -241,14 +270,12 @@ class BimodularGraph:
         left: Mapping[tuple[Vertex, Vertex], ActionTable] | None = None,
         right: Mapping[tuple[Vertex, Vertex], ActionTable] | None = None,
     ):
-        self.graph = graph
-        self._edges = {e.id: e for e in graph.edges}
         given = dict(groups or {})
         for v in given:
             if v not in graph.vertices:
                 raise IncompatibleGroupsError(f"group assigned to unknown vertex {v!r}")
         trivial = trivial_group()
-        self.groups = {v: given.get(v, trivial) for v in graph.vertices}
+        vertex_groups = {v: given.get(v, trivial) for v in graph.vertices}
         edge_sets = _edge_sets_of(graph)
 
         left, right = left or {}, right or {}
@@ -258,21 +285,49 @@ class BimodularGraph:
                     raise IncompatibleActionsError(
                         f"action given for vertex pair {pair!r} with no edges"
                     )
-        self.left, self.right = {}, {}
+        left_tables: dict = {}
+        right_tables: dict = {}
         for pair, ids in edge_sets.items():
-            lact = _action(self.groups[pair[0]], ids, left.get(pair, {}), False, pair)
-            ract = _action(self.groups[pair[1]], ids, right.get(pair, {}), True, pair)
-            self.left[pair], self.right[pair] = lact, ract
-            for (g, lg), (h, rh) in itertools.product(lact.items(), ract.items()):
-                for eid in ids:
-                    if lg[rh[eid]] != rh[lg[eid]]:
-                        raise IncompatibleActionsError(
-                            f"left action of {g!r} and right action of {h!r} do "
-                            f"not commute on edge set {pair!r}"
-                        )
+            lgroup, rgroup = vertex_groups[pair[0]], vertex_groups[pair[1]]
+            lact = _action(lgroup, ids, left.get(pair, {}), False, pair)
+            ract = _action(rgroup, ids, right.get(pair, {}), True, pair)
+            left_tables[pair], right_tables[pair] = lact, ract
+            # an identity on either side commutes with everything
+            for g in lgroup._others:
+                lg = lact[g]
+                for h in rgroup._others:
+                    rh = ract[h]
+                    for eid in ids:
+                        x, y = lg[rh[eid]], rh[lg[eid]]
+                        if x is not y and x != y:
+                            raise IncompatibleActionsError(
+                                f"left action of {g!r} and right action of {h!r} do "
+                                f"not commute on edge set {pair!r}"
+                            )
+        _set_bimod_graph(self, graph)
+        _set_bimod_groups(self, vertex_groups)
+        _set_bimod_left(self, left_tables)
+        _set_bimod_right(self, right_tables)
+        _set_bimod_edges(self, {e.id: e for e in graph.edges})
+
+    def __setattr__(self, name: str, val: object) -> None:
+        raise AttributeError("BimodularGraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("BimodularGraph is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.graph, self.groups, self.left, self.right)
 
     def __repr__(self) -> str:
         return f"BimodularGraph({self.graph!r})"
+
+
+_set_bimod_graph = BimodularGraph.graph.__set__
+_set_bimod_groups = BimodularGraph.groups.__set__
+_set_bimod_left = BimodularGraph.left.__set__
+_set_bimod_right = BimodularGraph.right.__set__
+_set_bimod_edges = BimodularGraph._edges.__set__
 
 
 def _check_compatible(f: BimodularGraph, g: BimodularGraph) -> None:

@@ -16,7 +16,6 @@ hom-sets.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any
@@ -144,8 +143,19 @@ def functor_bar(m: Cob0Morphism) -> Project:
     return Project(ExtNat(m.circles), fundamental_graph(m).graph)
 
 
-def _endpoint_multiset(g: Graph) -> Counter:
-    return Counter((e.src, e.tgt) for e in g.edges)
+def _endpoint_multiset(g: Graph) -> dict[tuple, int]:
+    """The (source, target) pairs of g's edges, each with its number of
+    edges."""
+    counts: dict[tuple, int] = {}
+    for e in g.edges:
+        ends = (e.src, e.tgt)
+        counts[ends] = counts.get(ends, 0) + 1
+    return counts
+
+
+def _endpoint_list(g: Graph) -> list[tuple[str, str]]:
+    """g's edges as sorted (str(source), str(target)) pairs."""
+    return sorted((str(e.src), str(e.tgt)) for e in g.edges)
 
 
 def check_functoriality(m: Cob0Morphism, n: Cob0Morphism) -> CheckReport:
@@ -182,12 +192,8 @@ def check_functoriality(m: Cob0Morphism, n: Cob0Morphism) -> CheckReport:
         "directed_is_twice_unoriented": two_to_one,
     }
     if not graph_ok:
-        details["image_of_composite"] = sorted(
-            (str(s), str(t)) for s, t in _endpoint_multiset(lhs.graph).elements()
-        )
-        details["composite_of_images"] = sorted(
-            (str(s), str(t)) for s, t in _endpoint_multiset(rhs.graph).elements()
-        )
+        details["image_of_composite"] = _endpoint_list(lhs.graph)
+        details["composite_of_images"] = _endpoint_list(rhs.graph)
     return CheckReport("functoriality", graph_ok and wager_ok, details)
 
 

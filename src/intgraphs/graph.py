@@ -465,13 +465,18 @@ def derived_graph(g: Graph, h: Graph) -> DerivedGraph:
     nodes = sorted(
         [(0, e) for e in g.edges] + [(1, e) for e in h.edges], key=_node_order
     )
-    by_source: dict[tuple[int, Vertex], list[int]] = {}
+    # by_source[side][v]: the nodes of that side leaving v, ascending
+    by_source: tuple[dict[Vertex, list[int]], ...] = ({}, {})
     for i, (side, edge) in enumerate(nodes):
-        by_source.setdefault((side, edge.src), []).append(i)
+        leaving = by_source[side].get(edge.src)
+        if leaving is None:
+            by_source[side][edge.src] = [i]
+        else:
+            leaving.append(i)
     no_arcs: list[int] = []
     dg = DerivedGraph(
         tuple(nodes),
-        [by_source.get((1 - side, edge.tgt), no_arcs) for side, edge in nodes],
+        [by_source[1 - side].get(edge.tgt, no_arcs) for side, edge in nodes],
         [edge.src in boundary for _, edge in nodes],
         [edge.tgt in boundary for _, edge in nodes],
     )
@@ -565,12 +570,14 @@ def _live_order(dg: DerivedGraph) -> tuple[list[int], list[bool]]:
     is_live = live.__getitem__
     order: list[int] = []
     for members in sccs:
-        if any(final[v] or any(map(is_live, succ[v])) for v in members):
-            if len(members) > 1:
-                cycle = _cycle_from(min(members), comp, succ)
-                raise InfinitePathSetError([dg.nodes[v] for v in cycle])
-            live[members[0]] = True
-            order.append(members[0])
+        if len(members) == 1:
+            v = members[0]
+            if final[v] or any(map(is_live, succ[v])):
+                live[v] = True
+                order.append(v)
+        elif any(final[v] or any(map(is_live, succ[v])) for v in members):
+            cycle = _cycle_from(min(members), comp, succ)
+            raise InfinitePathSetError([dg.nodes[v] for v in cycle])
     _set_live(dg, (order, live))
     return order, live
 
@@ -590,8 +597,12 @@ def alternating_paths(g: Graph, h: Graph) -> list[Path]:
     dg = derived_graph(g, h)
     _, live = _live_order(dg)
     nodes, succ, final = dg.nodes, dg.succ, dg.is_final
-    # per node, once: a path's flat id is a concatenation
-    flat_ids = [flatten(edge.id) for _, edge in nodes]
+    # per node, once: a path's flat id is a concatenation; an atomic id,
+    # which `flatten` would wrap, is wrapped here
+    flat_ids = [
+        flatten(edge.id) if isinstance(edge.id, (tuple, list)) else (edge.id,)
+        for _, edge in nodes
+    ]
     steps1 = [(node,) for node in nodes]
     # Depth-first over the live DAG from a virtual root whose children are
     # the initial nodes, in ascending order.  Successor lists ascend too,

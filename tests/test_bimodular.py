@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from intgraphs.bimodular import (
 )
 from intgraphs.campaigns import random_bimodular_pair, trial_rng
 from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened
+from intgraphs.formats import parse_bimodular
 from intgraphs.graph import Graph, GraphError, InfinitePathSetError
 
 from oracle import oracle_bimod_quotient
@@ -233,6 +237,146 @@ class TestBimodularGraphValidation:
         else:
             with pytest.raises(IncompatibleActionsError, match="not a homomorphism"):
                 BimodularGraph(graph, groups, **actions)
+
+
+def _swapping(ids: str, images: str) -> dict:
+    return dict(zip(ids, images))
+
+
+class TestFirstFailingPair:
+    """An action check names the first failing pair in element order over
+    all pairs, identity pairs included; a pair holding an identity never
+    fails once the identity is checked to act trivially."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "group, given, at",
+        [
+            # only the transposition 021 swaps: not a homomorphism of S3
+            (symmetric_group(3), {"021": _swapping("xy", "yx")}, "(021, 102)"),
+            # every non-identity element swaps, so 1 + 1 = 2 should not
+            (cyclic_group(4), {k: _swapping("xy", "yx") for k in "123"}, "(1, 1)"),
+        ],
+        ids=["S3", "C4"],
+    )
+    def test_a_broken_homomorphism_law(self, side, group, given, at):
+        graph = Graph({"a", "b"}, [("x", "a", "b"), ("y", "a", "b")])
+        vertex = "a" if side == "left" else "b"
+        with pytest.raises(IncompatibleActionsError) as info:
+            BimodularGraph(graph, {vertex: group}, **{side: {("a", "b"): given}})
+        assert str(info.value) == (
+            f"{side} action is not a homomorphism at {at} on edge set ('a', 'b')"
+        )
+
+    def test_s3_on_the_left_against_a_swap_on_the_right(self):
+        s3 = symmetric_group(3)
+        graph = Graph({"a", "b"}, [(x, "a", "b") for x in "xyz"])
+        # S3 permutes the three ids by position; C2 on the right swaps x, y
+        left = {p: {"xyz"[i]: "xyz"[int(p[i])] for i in range(3)} for p in s3.elements}
+        right = {"1": _swapping("xyz", "yxz")}
+        with pytest.raises(IncompatibleActionsError) as info:
+            BimodularGraph(
+                graph,
+                {"a": s3, "b": cyclic_group(2)},
+                left={("a", "b"): left},
+                right={("a", "b"): right},
+            )
+        assert str(info.value) == (
+            "left action of '021' and right action of '1' do not commute on edge set ('a', 'b')"
+        )
+
+    def test_c4_rotations_against_c4_through_a_swap(self):
+        c4 = cyclic_group(4)
+        graph = Graph({"a", "b"}, [(x, "a", "b") for x in "wxyz"])
+        rotate = {str(k): {"wxyz"[i]: "wxyz"[(i + k) % 4] for i in range(4)} for k in range(4)}
+        # C4 onto C2 on the right: the odd elements swap w and x
+        swap = {"1": _swapping("wxyz", "xwyz"), "3": _swapping("wxyz", "xwyz")}
+        with pytest.raises(IncompatibleActionsError) as info:
+            BimodularGraph(
+                graph, {"a": c4, "b": c4}, left={("a", "b"): rotate}, right={("a", "b"): swap}
+            )
+        assert str(info.value) == (
+            "left action of '1' and right action of '1' do not commute on edge set ('a', 'b')"
+        )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_a_nan_edge_id_is_acted_on_like_any_other(self, order):
+        # ids compare as the action tables' dicts compare them: the same
+        # object matches, so a NaN id is not a failed law at (0, 0)
+        nan = float("nan")
+        graph = Graph({"a", "b"}, [(nan, "a", "b"), ("e", "a", "b")])
+        group = cyclic_group(order)
+        swap = {"1": {nan: "e", "e": nan}} if order == 2 else {}
+        bg = BimodularGraph(
+            graph, {"a": group, "b": group}, left={("a", "b"): swap}, right={("a", "b"): swap}
+        )
+        assert bg.left[("a", "b")]["0"] == {nan: nan, "e": "e"}
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+CLONES = pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+
+
+def _parsed_swap() -> BimodularGraph:
+    return parse_bimodular((SAMPLES / "swap_left.bimod").read_text())[1]
+
+
+def _bimod_fields(bg: BimodularGraph) -> tuple:
+    return bg.graph, bg.groups, bg.left, bg.right
+
+
+class TestFrozen:
+    def test_a_shared_cyclic_group_refuses_assignment_and_deletion(self):
+        z3 = cyclic_group(3)
+        before = (z3.name, z3.elements, dict(z3.table), z3.identity, dict(z3.inverses))
+        for name, value in [
+            ("name", "other"), ("elements", ("0",)), ("table", {}),
+            ("identity", "1"), ("inverses", {}), ("extra", 1),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(z3, name, value)
+        for name in FiniteGroup.__slots__:
+            with pytest.raises(AttributeError):
+                delattr(z3, name)
+        assert cyclic_group(3) is z3
+        assert (z3.name, z3.elements, z3.table, z3.identity, z3.inverses) == before
+
+    @CLONES
+    def test_a_group_copies_and_pickles_through_its_constructor(self, clone):
+        z3 = cyclic_group(3)
+        again = clone(z3)
+        assert type(again) is FiniteGroup and again is not z3
+        assert again == z3 and hash(again) == hash(z3)
+        assert (again.name, again.elements, again.identity, again.inverses) == (
+            z3.name, z3.elements, z3.identity, z3.inverses
+        )
+        with pytest.raises(AttributeError):
+            again.identity = "1"
+
+    def test_a_parsed_bimodular_graph_refuses_assignment_and_deletion(self):
+        bg = _parsed_swap()
+        before = _bimod_fields(bg)
+        for name in ("graph", "groups", "left", "right", "_edges", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(bg, name, {})
+        for name in BimodularGraph.__slots__:
+            with pytest.raises(AttributeError):
+                delattr(bg, name)
+        assert all(now is then for now, then in zip(_bimod_fields(bg), before))
+
+    @CLONES
+    def test_a_bimodular_graph_copies_and_pickles_through_its_constructor(self, clone):
+        bg = _parsed_swap()
+        again = clone(bg)
+        assert type(again) is BimodularGraph and again is not bg
+        assert _bimod_fields(again) == _bimod_fields(bg)
+        assert again.right[("v", "m")]["1"] == {"e1": "e2", "e2": "e1"}
+        with pytest.raises(AttributeError):
+            again.graph = Graph.empty()
 
 
 class TestCompose2:

@@ -20,6 +20,7 @@ from intgraphs.graph import (
     UNORIENTED,
     DuplicateEdgeIdError,
     Graph,
+    InfiniteCycleSetError,
     InfinitePathSetError,
     alternating_paths,
 )
@@ -253,12 +254,47 @@ class TestTrefoil:
         assert "verdict=PASS" in r1
 
 
+    def test_an_infinite_cycle_set_of_f_and_g_raises_the_first_infinite_set(self):
+        # C(F, G) is infinite, and so is C(F, G::H), the first of the four
+        # sets in the identity's order: its error names G::H's flat ids
+        F = g({"p", "q"}, [("a", "p", "q")])
+        G = g({"p", "q"}, [("c", "q", "p"), ("c2", "q", "p")])
+        H = g({"r"}, [("h", "r", "r")])
+        with pytest.raises(InfiniteCycleSetError) as info:
+            check_trefoil(F, G, H)
+        assert str(info.value) == (
+            "infinite prime cycle set (edge 'a' re-enters its component via ('c',), ('c2',))"
+        )
+        assert [e.id for _, e in info.value.branches] == [("c",), ("c2",)]
+
+
 class TestNormalForm:
     def test_flattening_identifies_nested_ids(self):
         flat = g({"a", "b"}, [(("e", "f"), "a", "b")])
         nested = g({"a", "b"}, [((("e",), ("f",)), "a", "b")])
         assert normal_form(flat) == normal_form(nested)
         assert graphs_equal_flattened(flat, nested)
+
+
+class TestSameForm:
+    def test_tied_edges_in_either_order_are_the_same_form(self):
+        # two NaN ids print alike, so sorting keeps their input order
+        n1, n2 = float("nan"), float("nan")
+        a = normal_form(g({"x", "y"}, [(n1, "x", "y"), (n2, "x", "y")]))
+        b = normal_form(g({"x", "y"}, [(n2, "x", "y"), (n1, "x", "y")]))
+        assert a[1] != b[1] and a[1] == b[1][::-1]
+        assert execution._same_form(a, b)
+
+    def test_equal_lengths_with_different_multisets_differ(self):
+        vertices = frozenset({"x", "y"})
+        edge, other = (("e",), "x", "y"), (("f",), "x", "y")
+        assert not execution._same_form((vertices, (edge, edge)), (vertices, (edge, other)))
+        assert not execution._same_form((vertices, (edge, other)), (vertices, (other, other)))
+        assert execution._same_form((vertices, (edge, other)), (vertices, (other, edge)))
+
+    def test_different_vertex_sets_differ(self):
+        edges = ((("e",), "x", "y"),)
+        assert not execution._same_form((frozenset("xy"), edges), (frozenset("xyz"), edges))
 
 
 class TestFlattenedEqualityIgnoresOrder:

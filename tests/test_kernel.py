@@ -21,7 +21,13 @@ from intgraphs import graph
 from intgraphs.bimodular import BimodularGraph, OrbitCapExceededError, bimod_execute
 from intgraphs.campaigns import random_bimodular_pair, random_pair, trial_rng
 from intgraphs.cob0 import SRC, TGT, cob0_identity, cob0_morphism
-from intgraphs.execution import PreconditionViolationError, execute, graphs_equal_flattened, measure
+from intgraphs.execution import (
+    PreconditionViolationError,
+    check_trefoil,
+    execute,
+    graphs_equal_flattened,
+    measure,
+)
 from intgraphs.formats import render_graph
 from intgraphs.functor import check_functoriality, fundamental_graph
 from intgraphs.graph import (
@@ -442,6 +448,27 @@ def test_one_functoriality_check_builds_one_derived_graph(monkeypatch):
     report = check_functoriality(cup, cap)
     assert report.passed and report.details["measure_unoriented"] == "1"
     assert len(built) == 1
+
+
+def test_a_finite_trefoil_check_builds_five_derived_graphs_in_six_calls(monkeypatch):
+    # four pairs: G, H and F, G are each asked twice, and F, G's second
+    # question comes while its derived graph is still the last one built
+    f = Graph({"x", "y", "w"}, [("e", "x", "y"), ("e2", "w", "w")])
+    g = Graph({"y", "z", "w"}, [("g", "y", "z"), ("g2", "w", "w")])
+    h = Graph({"z", "x"}, [("h", "z", "x")])
+    calls: list = []
+    real = graph.derived_graph
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(graph, "derived_graph", counted)
+    built = _builds(monkeypatch)
+    report = check_trefoil(f, g, h)
+    assert report.passed and report.details["cycles(F,G)"] == 1
+    assert len(calls) == 6
+    assert len(built) == 5
 
 
 def _scc_passes(monkeypatch) -> list:
