@@ -33,6 +33,7 @@ from .graph import (
     GraphError,
     Path,
     Vertex,
+    _Frozen,
     _order_key,
     alternating_paths,
     derived_graph,
@@ -55,7 +56,7 @@ class OrbitCapExceededError(GraphError):
 _ORBIT_CAP = 500_000
 
 
-class FiniteGroup:
+class FiniteGroup(_Frozen):
     """A finite group given by its multiplication table.
 
     Group axioms (closure, identity, inverses, associativity) are checked
@@ -125,12 +126,6 @@ class FiniteGroup:
 
     def __hash__(self) -> int:
         return hash((frozenset(self.elements), frozenset(self.table.items())))
-
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("FiniteGroup is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FiniteGroup is immutable")
 
     def __reduce__(self):
         return type(self), (self.name, self.elements, self.table)
@@ -248,7 +243,7 @@ def _action(
     return table
 
 
-class BimodularGraph:
+class BimodularGraph(_Frozen):
     """A graph with a group per vertex and commuting left/right actions on
     every edge set.
 
@@ -309,15 +304,6 @@ class BimodularGraph:
         _set_bimod_left(self, left_tables)
         _set_bimod_right(self, right_tables)
         _set_bimod_edges(self, {e.id: e for e in graph.edges})
-
-    def __setattr__(self, name: str, val: object) -> None:
-        raise AttributeError("BimodularGraph is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("BimodularGraph is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.graph, self.groups, self.left, self.right)
 
     def __repr__(self) -> str:
         return f"BimodularGraph({self.graph!r})"
@@ -403,15 +389,16 @@ def _orbits(bgs: _Operands, starts: Iterable[Path]) -> tuple[dict[Steps, tuple],
             continue
         reps.append(path)
         key = orbit_of[start] = path.flat_id
+        # the identity moves nothing
         junctions = [
-            (i, bgs[s].groups[e.tgt].elements) for i, (s, e) in enumerate(start[:-1], start=1)
+            (i, bgs[s].groups[e.tgt]._others) for i, (s, e) in enumerate(start[:-1], start=1)
         ]
         size = 1
         queue = [start]
         while queue:
             cur = queue.pop()
-            for i, elements in junctions:
-                for b in elements:
+            for i, others in junctions:
+                for b in others:
                     img = _act_at_junction(bgs, cur, i, b)
                     if img not in orbit_of:
                         if size >= _ORBIT_CAP:
@@ -442,10 +429,11 @@ def _quotient_graph(
         key, rep = path.flat_id, path.steps
         first, last = rep[0], rep[-1]
         pair = (first[1].src, last[1].tgt)
-        for a in groups[pair[0]].elements:
+        # the constructor gives the identity its trivial permutation
+        for a in groups[pair[0]]._others:
             img = orbit_of[(_moved(bgs, first, a, False),) + rep[1:]]
             left.setdefault(pair, {}).setdefault(a, {})[key] = img
-        for c in groups[pair[1]].elements:
+        for c in groups[pair[1]]._others:
             img = orbit_of[rep[:-1] + (_moved(bgs, last, c, True),)]
             right.setdefault(pair, {}).setdefault(c, {})[key] = img
     return BimodularGraph(result_graph, groups, left, right)

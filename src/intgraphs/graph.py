@@ -117,13 +117,30 @@ class Edge:
 _set_edge_id, _set_edge_src, _set_edge_tgt = Edge.id.__set__, Edge.src.__set__, Edge.tgt.__set__
 
 
-class Graph:
+class _Frozen:
+    """Base of the hand-slotted values: they refuse assignment and
+    deletion, and copies and pickles rebuild them through the constructor
+    from the public slots, in slot order.  Each class fills its own slots
+    past ``__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, val: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, s) for s in self.__slots__ if s[0] != "_")
+
+
+class Graph(_Frozen):
     """Immutable directed multigraph with identified edges.
 
     Parallel edges and self-loops are permitted; edge ids must be unique
-    and endpoints must belong to the vertex set.  Both slots refuse
-    assignment and deletion; the builders fill them through the slots'
-    own setters.  Copies and pickles go through the constructor.
+    and endpoints must belong to the vertex set.  The builders fill the
+    two slots through the slots' own setters.
     """
 
     __slots__ = ("vertices", "edges")
@@ -185,15 +202,6 @@ class Graph:
             raise GraphError("vertex relabelling merges distinct vertices")
         return Graph(images, [Edge(e.id, send(e.src), send(e.tgt)) for e in self.edges])
 
-    def __setattr__(self, name: str, val: Any) -> None:
-        raise AttributeError("Graph is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.vertices, self.edges)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -210,7 +218,7 @@ _set_vertices, _set_edges = Graph.vertices.__set__, Graph.edges.__set__
 
 
 @functools.total_ordering
-class ExtNat:
+class ExtNat(_Frozen):
     """A natural number extended with an absorbing infinity (omega).
 
     Addition never overflows: omega + anything = omega.  Instances are
@@ -225,9 +233,6 @@ class ExtNat:
         if value is not None and (type(value) is bool or not isinstance(value, int) or value < 0):
             raise ValueError(f"extended natural must be >= 0 or omega, got {value!r}")
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name: str, val: Any) -> None:
-        raise AttributeError("ExtNat is immutable")
 
     @property
     def is_omega(self) -> bool:

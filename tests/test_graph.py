@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from intgraphs.graph import (
     flatten,
     prime_cycles,
 )
+from intgraphs.interaction import Project
 
 from oracle import (
     FINITE,
@@ -113,7 +116,33 @@ class TestExtNat:
     def test_immutable(self):
         with pytest.raises(AttributeError, match="immutable"):
             OMEGA.value = 1
+        with pytest.raises(AttributeError, match="immutable"):
+            del OMEGA.value
         assert OMEGA.is_omega
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_values_and_projects_copy_and_pickle(self, clone):
+        for value in (ExtNat(2), OMEGA):
+            again = clone(value)
+            assert type(again) is ExtNat and again == value
+            assert again.is_omega is value.is_omega
+            with pytest.raises(AttributeError, match="ExtNat is immutable"):
+                again.value = 3
+            with pytest.raises(AttributeError, match="ExtNat is immutable"):
+                del again.value
+        project = Project(OMEGA, Graph.empty())
+        again = clone(project)
+        assert again == project and again.wager.is_omega
+        with pytest.raises(AttributeError):
+            again.wager = ExtNat(0)
+        with pytest.raises(AttributeError):
+            del again.graph
+        with pytest.raises(AttributeError, match="immutable"):
+            del again.wager.value
 
     def test_int(self):
         assert int(ExtNat(3)) == 3

@@ -72,3 +72,61 @@ def test_source_names_nothing_newer_than_python_3_10():
         for name in set(_names(_tree(path))) & NEWER_THAN_3_10
     )
     assert found == []
+
+
+def _classes(paths):
+    """(location, class node) for every class defined in ``paths``."""
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef):
+                yield f"{path.relative_to(ROOT)}:{node.lineno} {node.name}", node
+
+
+def _assigns(node: ast.ClassDef, name: str):
+    """The values assigned to ``name`` in the class body."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in stmt.targets
+        ):
+            yield stmt.value
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name) and decorator.id == "dataclass":
+            return True
+    return False
+
+
+def test_only_the_frozen_base_refuses_assignment_and_deletion():
+    """Refusal is written once, in ``graph._Frozen``: no other library class
+    defines ``__setattr__`` or ``__delattr__`` (a frozen dataclass's are
+    generated, not written)."""
+    found = [
+        f"{where}.{stmt.name}"
+        for where, node in _classes(LIBRARY)
+        if node.name != "_Frozen"
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in ("__setattr__", "__delattr__")
+    ]
+    assert found == []
+
+
+def test_every_hand_slotted_class_derives_from_the_frozen_base():
+    """A class that is not a dataclass and lists slots is a hand-slotted
+    value, so it refuses assignment, deletion and copying as ``_Frozen``
+    does."""
+    slotted = {
+        where: node
+        for where, node in _classes(LIBRARY)
+        if not _is_dataclass(node)
+        and any(not isinstance(v, ast.Tuple) or v.elts for v in _assigns(node, "__slots__"))
+    }
+    found = [
+        where
+        for where, node in slotted.items()
+        if not any(isinstance(b, ast.Name) and b.id == "_Frozen" for b in node.bases)
+    ]
+    assert len(slotted) >= 4 and found == []
