@@ -251,7 +251,9 @@ class BimodularGraph(_Frozen):
     from the group at v); ``right[(v, w)][h]`` likewise with h from the
     group at w.  Missing entries default to the identity permutation.
     ``_action`` checks each side's table on each edge set, and the
-    constructor then checks that the two sides commute.  The slots refuse
+    constructor then checks that the two sides commute.  Equality compares
+    the graph, the groups and both sides' tables, which list every group
+    element, so equivalent inputs compare equal.  The slots refuse
     assignment and deletion; the constructor fills them through the slots'
     own setters.  Copies and pickles go through the constructor.
     """
@@ -304,6 +306,16 @@ class BimodularGraph(_Frozen):
         _set_bimod_left(self, left_tables)
         _set_bimod_right(self, right_tables)
         _set_bimod_edges(self, {e.id: e for e in graph.edges})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BimodularGraph):
+            return NotImplemented
+        return (self.graph, self.groups, self.left, self.right) == (
+            other.graph, other.groups, other.left, other.right
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, frozenset(self.groups.items())))
 
     def __repr__(self) -> str:
         return f"BimodularGraph({self.graph!r})"

@@ -11,8 +11,8 @@ entirely inside one side.
 Each morphism is its matching, kept as two tables keyed by plain label,
 one per side: a source label's mate point and a target label's mate
 point.  Equality and hashing agree with the tables, and ``pairs`` is
-built from them on first read.  The public constructor checks each pair's
-size and rejects a point seen twice in a single pass over the pairs; one
+built from them on first read.  The public constructor freezes each pair
+in one read of the pairs, checks its size, rejects a point seen twice; one
 comparison with the boundary then finds unknown and missing points, and
 the two tables are filled.  Composition glues along the shared middle
 object with one chase: from each outer boundary point, alternately follow
@@ -59,7 +59,7 @@ def target_point(label: Any) -> TaggedPoint:
 
 class _PairsFromTables:
     """The ``pairs`` field's class attribute.  The public constructor
-    stores the pairs it was given in the instance dict, which attribute
+    stores the frozen pairs in the instance dict, which attribute
     lookup reads before this non-data descriptor.  A morphism built by
     `_glued` has only its tables, so its first read of ``pairs`` lands
     here: the pairs are built from the tables, in table order, and stored
@@ -85,10 +85,12 @@ class Cob0Morphism:
     and ``pairs``.  ``Cob0Morphism(...)`` checks the circle count and that
     the pairs match every boundary point exactly once (ValueError), keeps
     ``source``, ``target`` and ``pairs`` as frozensets, and builds the
-    tables.  The composites of `cob0_compose` are built by `_glued`, which
-    checks nothing: the chase pairs every outer point with the other end
-    of its chain, once each, and fills the two tables as it goes.  Their
-    ``pairs`` are built from the tables when first read.
+    tables; it reads ``pairs`` once, and a frozenset of frozensets is kept
+    as given.  `cob0_morphism` is this constructor.  The composites of
+    `cob0_compose` are built by `_glued`, which checks nothing: the chase
+    pairs every outer point with the other end of its chain, once each,
+    and fills the two tables as it goes.  Their ``pairs`` are built from
+    the tables when first read.
     """
 
     source: frozenset
@@ -98,13 +100,15 @@ class Cob0Morphism:
 
     def __post_init__(self) -> None:
         _check_count("circle count", self.circles)
+        given = self.pairs
+        pairs = tuple(map(frozenset, given))  # given is read once
         mates: dict = {}
-        for pair in self.pairs:
+        for pair in pairs:
             if len(pair) != 2:
-                raise ValueError(_matching_fault(self.pairs))
+                raise ValueError(_matching_fault(pairs))
             p, q = pair
-            if p == q or p in mates or q in mates:
-                raise ValueError(_matching_fault(self.pairs))
+            if p in mates or q in mates:
+                raise ValueError(_matching_fault(pairs))
             mates[p] = q
             mates[q] = p
         fields = self.__dict__
@@ -122,9 +126,9 @@ class Cob0Morphism:
                 "matching must cover every boundary point, "
                 f"missing {show_items(points - mates.keys())}"
             )
-        pairs = self.pairs
-        if not isinstance(pairs, frozenset) or not all(isinstance(p, frozenset) for p in pairs):
-            fields["pairs"] = _pairs_from(pairs)  # every point is hashable, as a key of mates
+        # kept as given, a frozenset of frozensets iterates and prints as the caller's
+        if not isinstance(given, frozenset) or not all(isinstance(p, frozenset) for p in given):
+            fields["pairs"] = frozenset(pairs)
         src: dict = {}
         tgt: dict = {}
         for (tag, label), q in mates.items():
@@ -188,18 +192,11 @@ def _check_count(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
-def _matching_fault(pairs: frozenset[frozenset]) -> str:
-    """Why ``pairs`` is no matching, named the same whatever the set order:
+def _matching_fault(pairs: tuple[frozenset, ...]) -> str:
+    """Why ``pairs`` is no matching, named the same whatever their order:
     the least pair that is not two distinct points, else the least point
-    in two pairs.  A pair that names one point twice shows it once, as
-    its frozenset would."""
-    bad = []
-    for pair in pairs:
-        points = list(pair)
-        if len(points) == 2 and points[0] == points[1]:
-            del points[1]
-        if len(points) != 2:
-            bad.append(show_items(points))
+    in two pairs."""
+    bad = [show_items(pair) for pair in pairs if len(pair) != 2]
     if bad:
         return f"pair {min(bad)} must contain two distinct points"
     seen, repeated = set(), set()
@@ -208,27 +205,18 @@ def _matching_fault(pairs: frozenset[frozenset]) -> str:
     return f"boundary point {min(repeated, key=_order_key)!r} occurs in two pairs"
 
 
-def _pairs_from(pairs: Iterable[Iterable[TaggedPoint]]) -> frozenset:
-    return frozenset(frozenset(p) for p in pairs)
-
-
 def cob0_morphism(
     source: Iterable[Any],
     target: Iterable[Any],
     pairs: Iterable[Iterable[TaggedPoint]],
     circles: int = 0,
 ) -> Cob0Morphism:
-    return Cob0Morphism(frozenset(source), frozenset(target), _pairs_from(pairs), circles)
+    return Cob0Morphism(source, target, pairs, circles)
 
 
 def cob0_identity(points: Iterable[Any]) -> Cob0Morphism:
     pts = frozenset(points)
-    return Cob0Morphism(
-        pts,
-        pts,
-        _pairs_from((source_point(a), target_point(a)) for a in pts),
-        0,
-    )
+    return Cob0Morphism(pts, pts, [(source_point(a), target_point(a)) for a in pts])
 
 
 def _check_interface(m: Cob0Morphism, n: Cob0Morphism) -> None:
@@ -301,12 +289,14 @@ def cob0_compose(m: Cob0Morphism, n: Cob0Morphism) -> Cob0Morphism:
 class AlternatingDecomposition:
     """The chain of operand segments realising one composite segment.
 
-    Tags alternate strictly between the two operands.
+    Tags alternate strictly between the two operands.  The segments are
+    read once and kept as a tuple of (tag, frozenset) pairs.
     """
 
     segments: tuple[tuple[str, frozenset], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple((t, frozenset(s)) for t, s in self.segments))
         if not self.segments:
             raise InvariantViolationError("a decomposition has at least one segment")
         tags = [tag for tag, _ in self.segments]
@@ -346,7 +336,7 @@ def decompose_segment(
         in_m = not in_m
         cur = (TGT if in_m else SRC, x)
     segments.append(("M" if in_m else "N", frozenset((cur, end))))
-    return AlternatingDecomposition(tuple(segments))
+    return AlternatingDecomposition(segments)
 
 
 def _matchings(points: list) -> Iterator[frozenset]:
@@ -381,5 +371,5 @@ def cob0_enumerate(
     out = []
     for matching in _matchings(points):
         for circles in range(max_circles + 1):
-            out.append(Cob0Morphism(src, tgt, frozenset(matching), circles))
+            out.append(Cob0Morphism(src, tgt, matching, circles))
     return out

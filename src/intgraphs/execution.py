@@ -190,9 +190,11 @@ def check_trefoil(f: Graph, g: Graph, h: Graph, mode: str = DIRECTED) -> CheckRe
     gh = execute(g, h)
     fg = execute(f, g)
     # |C(F, G)| now, while `derived_graph` still holds the pair F, G.  An
-    # infinite set is counted again last, where the identity reads it, so
-    # the first infinite set of the four in the identity's order decides
-    # the error.
+    # infinite C(F, G) is never read: C(F, G::H), first in the identity's
+    # order, is infinite too and raises.  Every G edge on an F-G cycle
+    # joins two vertices of F and G, which H lacks (the triple
+    # intersection is empty), so it is a one-edge path of G::H with the
+    # same ends, and a branching F-G component branches in F-(G::H) too.
     try:
         n_f_g: int | None = len(prime_cycles(f, g, mode))
     except InfiniteCycleSetError:
@@ -200,8 +202,6 @@ def check_trefoil(f: Graph, g: Graph, h: Graph, mode: str = DIRECTED) -> CheckRe
     n_f_gh = len(prime_cycles(f, gh, mode))
     n_g_h = len(prime_cycles(g, h, mode))
     n_h_fg = len(prime_cycles(h, fg, mode))
-    if n_f_g is None:
-        n_f_g = len(prime_cycles(f, g, mode))
     passed = n_f_gh + n_g_h == n_h_fg + n_f_g
     details = {
         "mode": mode,

@@ -321,7 +321,7 @@ def parse_cobordism(text: str) -> tuple[str, Cob0Morphism]:
             paired_on[point] = lineno
         pairs.append(frozenset(ends))
     try:
-        morphism = Cob0Morphism(frozenset(left), frozenset(right), frozenset(pairs), circles or 0)
+        morphism = Cob0Morphism(left, right, pairs, circles or 0)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return name, morphism

@@ -355,8 +355,9 @@ class Path:
     """An alternating path: edges tagged 0/1 by owning graph.
 
     Every junction, a step and the step after it, must compose and
-    alternate (`_check_junction`).  ``Path(steps)`` checks them all on
-    construction (InvariantViolationError).  The paths of
+    alternate (`_check_junction`).  ``Path(steps)`` reads any iterable of
+    (side, edge) steps once, keeps them as a tuple of pairs, and checks
+    every junction (InvariantViolationError).  The paths of
     `alternating_paths` are built by `_checked`, which checks nothing:
     a path's junctions are arcs of the derived graph between live nodes,
     and its walk checks each such arc once, when it first expands the
@@ -370,6 +371,7 @@ class Path:
     flat_id: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))
         if not self.steps:
             raise InvariantViolationError("a path has at least one edge")
         for a, b in zip(self.steps, self.steps[1:]):
@@ -716,13 +718,15 @@ class CycleClass:
     by the first included, passes `_check_junction`, as in a `Path`.  In
     unoriented mode the class also absorbs the edgewise reversal, which
     `prime_cycles` finds by one lookup per step; the representative is
-    then the least canonical form over the merged classes.
+    then the least canonical form over the merged classes.  Its steps
+    are kept as in a `Path`.
     """
 
     steps: tuple[tuple[int, Edge], ...]
     mode: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(map(tuple, self.steps)))
         if self.mode not in MODES:
             raise InvariantViolationError(f"unknown cycle mode {self.mode!r}")
         if not self.steps:

@@ -62,7 +62,10 @@ class IntMorphism:
     graph: Graph
 
     def __post_init__(self) -> None:
-        expected = {dom_vertex(a) for a in self.dom} | {cod_vertex(b) for b in self.cod}
+        fields = self.__dict__
+        fields["dom"] = dom = frozenset(self.dom)
+        fields["cod"] = cod = frozenset(self.cod)
+        expected = {dom_vertex(a) for a in dom} | {cod_vertex(b) for b in cod}
         if self.graph.vertices != expected:
             raise InterfaceMismatchError(
                 "morphism graph must live exactly on the tagged domain and codomain"

@@ -374,9 +374,21 @@ class TestFrozen:
         again = clone(bg)
         assert type(again) is BimodularGraph and again is not bg
         assert _bimod_fields(again) == _bimod_fields(bg)
+        assert again == bg and hash(again) == hash(bg)
         assert again.right[("v", "m")]["1"] == {"e1": "e2", "e2": "e1"}
         with pytest.raises(AttributeError):
             again.graph = Graph.empty()
+
+    def test_a_bimodular_graph_compares_by_value(self):
+        bg = _parsed_swap()
+        swap, fixed = {"e1": "e2", "e2": "e1"}, {"e1": "e1", "e2": "e2"}
+        # the identity's trivial entry, given or filled in, is the same value
+        spelled_out = BimodularGraph(bg.graph, bg.groups, {}, {("v", "m"): {"0": fixed, "1": swap}})
+        assert spelled_out == bg and hash(spelled_out) == hash(bg)
+        # one action entry apart
+        apart = BimodularGraph(bg.graph, bg.groups, {}, {("v", "m"): {"1": fixed}})
+        assert apart != bg and bg != apart
+        assert bg != object() and not bg == object()
 
 
 class TestCompose2:

@@ -79,12 +79,15 @@ class TestConstruction:
              "must contain two distinct points"),
             ({"a", 1}, {"b", "1"}, [(sp("a"), tp("b"))],
              "matching must cover every boundary point, missing [('src', 1), ('tgt', '1')]"),
+            ({"a"}, {"b"}, [(sp("a"), tp("b"))] * 2,
+             "boundary point ('src', 'a') occurs in two pairs"),
         ],
     )
     def test_bad_matching_rejected_with_its_reason(self, source, target, pairs, message):
-        with pytest.raises(ValueError) as err:
-            cob0_morphism(source, target, pairs)
-        assert message in str(err.value)
+        for make in (cob0_morphism, Cob0Morphism):
+            with pytest.raises(ValueError) as err:
+                make(source, target, pairs)
+            assert message in str(err.value)
 
     @pytest.mark.parametrize("circles", [1.5, 2.0, "2", None, True, False])
     def test_circle_count_must_be_a_non_bool_int(self, circles):
@@ -109,8 +112,9 @@ class TestConstruction:
         [
             frozenset({frozenset({sp("a"), tp("a")})}),
             [{sp("a"), tp("a")}],
+            ((sp(a), tp(a)) for a in ["a"]),
         ],
-        ids=["frozen-pairs", "list-of-sets"],
+        ids=["frozen-pairs", "list-of-sets", "generator"],
     )
     def test_the_callers_containers_are_not_kept(self, pairs):
         source, target = {"a"}, {"a"}
@@ -135,9 +139,10 @@ class TestConstruction:
         # the constructor, as cob0_morphism, whose frozenset has one point
         expected = f"pair [{sp(pair[0][1])!r}] must contain two distinct points"
         for make in (Cob0Morphism, cob0_morphism):
-            with pytest.raises(ValueError) as err:
-                make(frozenset({pair[0][1]}), frozenset(), [pair])
-            assert str(err.value) == expected
+            for pairs in ([pair], iter([pair])):  # one-shot input is read once
+                with pytest.raises(ValueError) as err:
+                    make(frozenset({pair[0][1]}), frozenset(), pairs)
+                assert str(err.value) == expected
         # one bad pair is named, whatever the order of the pairs
         pairs = [pair, (sp("b"), sp("c"), sp("d"))]
         messages = set()
@@ -359,6 +364,21 @@ class TestDecompose:
     def test_at_least_one_segment(self):
         with pytest.raises(InvariantViolationError, match="at least one segment"):
             AlternatingDecomposition(())
+
+    def test_segments_are_kept_as_a_tuple_of_frozen_pairs(self):
+        frozen = AlternatingDecomposition(
+            (("M", frozenset({sp("a"), tp("x")})), ("N", frozenset({sp("x"), tp("c")})))
+        )
+        first, second = {sp("a"), tp("x")}, {sp("x"), tp("c")}
+        given = [["M", first], ["N", second]]
+        built = [AlternatingDecomposition(given), AlternatingDecomposition(tuple(s) for s in given)]
+        for d in built:
+            assert d == frozen and hash(d) == hash(frozen)
+            assert type(d.segments) is tuple
+            assert all(type(s) is tuple and type(s[1]) is frozenset for s in d.segments)
+        first.add(tp("y"))
+        given.append(["M", {tp("z")}])
+        assert all(d == frozen and hash(d) == hash(frozen) for d in built)
 
     def test_alternation_enforced(self):
         with pytest.raises(InvariantViolationError):

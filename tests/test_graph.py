@@ -526,9 +526,34 @@ class TestPathInvariants:
         assert str(err.value) == "edges 'e2', 'e3' do not compose"
 
 
+    def test_the_callers_containers_are_not_kept(self):
+        steps = self._chain(3)
+        frozen = Path(tuple(steps))
+        given = [list(step) for step in steps]
+        built = [Path(given), Path(tuple(step) for step in given)]
+        for path in built:
+            assert path == frozen and hash(path) == hash(frozen)
+            assert path.flat_id == frozen.flat_id
+            assert type(path.steps) is tuple and all(type(s) is tuple for s in path.steps)
+        given[0][0] = 1
+        given.append([1, Edge("e3", "v3", "v4")])
+        assert all(path == frozen and hash(path) == hash(frozen) for path in built)
+
+
 class TestCycleClassInvariants:
     E = Edge("e", "a", "b")
     F = Edge("f", "b", "a")
+
+    def test_the_callers_containers_are_not_kept(self):
+        frozen = CycleClass(((0, self.E), (1, self.F)), DIRECTED)
+        given = [[0, self.E], [1, self.F]]
+        built = [CycleClass(given, DIRECTED), CycleClass((tuple(s) for s in given), DIRECTED)]
+        for cycle in built:
+            assert cycle == frozen and hash(cycle) == hash(frozen)
+            assert type(cycle.steps) is tuple and all(type(s) is tuple for s in cycle.steps)
+        given[0][0] = 1
+        given.append([0, self.E])
+        assert all(cycle == frozen and hash(cycle) == hash(frozen) for cycle in built)
 
     def test_a_valid_cycle_is_accepted(self):
         cycle = CycleClass(((0, self.E), (1, self.F)), DIRECTED)

@@ -56,6 +56,17 @@ class TestIntCompose:
         with pytest.raises(InterfaceMismatchError, match="tagged domain and codomain"):
             IntMorphism(frozenset({"a"}), frozenset({"b"}), graph)
 
+    def test_the_callers_containers_are_not_kept(self):
+        identity = int_identity(["a"])
+        dom, cod = {"a"}, ["a"]
+        built = [IntMorphism(d, c, identity.graph) for d, c in ((dom, cod), (iter(dom), iter(cod)))]
+        for m in built:
+            assert m == identity and hash(m) == hash(identity)
+            assert type(m.dom) is frozenset and type(m.cod) is frozenset
+        dom.add("b")
+        cod.append("b")
+        assert all(m == identity and hash(m) == hash(identity) for m in built)
+
     def test_interface_mismatch_tells_1_from_str_1(self):
         with pytest.raises(InterfaceMismatchError) as err:
             int_compose(int_identity({1}), int_identity({"1"}))

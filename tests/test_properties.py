@@ -260,6 +260,23 @@ def test_project_wager_associative(seed):
     assert graphs_equal_flattened(left.graph, right.graph)
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([DIRECTED, UNORIENTED]))
+@settings(max_examples=200, deadline=None)
+def test_an_infinite_cycle_set_of_f_and_g_makes_that_of_f_and_g_h_infinite(seed, mode):
+    # why `check_trefoil` never reads an infinite C(F, G): C(F, G::H),
+    # first in the identity's order, raises before it
+    f, g, h = random_triple(trial_rng(seed, 0))
+    try:
+        prime_cycles(f, g, mode)
+    except InfiniteCycleSetError:
+        try:
+            gh = execute(g, h)
+        except InfinitePathSetError:
+            return  # check_trefoil raises on G::H itself
+        with pytest.raises(InfiniteCycleSetError):
+            prime_cycles(f, gh, mode)
+
+
 # Ids of mixed types that print alike: 1 and "1", tuples of them, and the
 # two id types whose own __str__ prints labels 1 and "1" alike.
 labels = st.sampled_from([1, "1", 2, "2"])
