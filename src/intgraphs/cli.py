@@ -4,13 +4,15 @@ Command-line interface.
 Subcommands: execute, measure, cob (compose | identity | functor),
 check <property>, dot.  Exit codes: 0 success / property holds,
 1 property violation, 2 input or precondition error, 3 infinite path or
-cycle set (with a witness printed).
+cycle set (with a witness printed), 141 standard output closed early (as
+by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INFINITE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 def _read(path: str) -> str:
@@ -212,6 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # a closed pipe raises here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; as the Python docs' "Note on SIGPIPE" (in
+        # the signal module) says, point stdout at devnull so that the
+        # flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ of plugging three graphs together.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -61,9 +62,25 @@ def execute(g: Graph, h: Graph) -> Graph:
     vertices, so its edge's endpoints are in the vertex set by
     construction.
 
+    The cyclic garbage collector is paused while the result is built, and
+    left as it was found: enabled again if it was enabled, left off if the
+    caller had turned it off.  Each path keeps a few tracked objects alive
+    until the result is built, and a large output would otherwise set off
+    many collections that rescan them all.  The pause is safe because the
+    walk builds only tuples, `Path`s and `Edge`s, which form no reference
+    cycle: reference counting frees the transient paths when this returns,
+    and any cycle that does arise is collected once the pause ends.  The
+    pause is process-wide, so other threads go uncollected meanwhile.
+
     Raises InfinitePathSetError when the path set is infinite.
     """
-    return _executed_graph(g, h, alternating_paths(g, h))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _executed_graph(g, h, alternating_paths(g, h))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _executed_graph(g: Graph, h: Graph, paths: Sequence[Path]) -> Graph:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,8 +11,12 @@ import pytest
 
 from intgraphs import bimodular, cli
 from intgraphs.cli import main
+from intgraphs.execution import execute
+from intgraphs.formats import render_graph
+from test_kernel import diamond_chain
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 def run(capsys, *argv):
@@ -157,6 +164,58 @@ class TestRunAsModule:
             runpy.run_module("intgraphs.cli", run_name="__main__")
         captured = capsys.readouterr()
         assert (exit_.value.code, captured.out, captured.err) == expected
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has left: every write raises."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedPipe:
+    def test_main_points_stdout_at_devnull_and_returns_141(self, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+            assert main(["dot", str(SAMPLES / "arrow_ab.graph")]) == cli.EXIT_PIPE
+            # what the interpreter's flush at exit would write now goes nowhere
+            os.write(sink.fileno(), b"lost")
+        assert (tmp_path / "stdout").read_text(encoding="utf-8") == ""
+
+    def test_a_reader_that_leaves_early_ends_the_run_with_141_and_no_traceback(self, tmp_path):
+        # 2^12 result edges: far more text than a pipe holds (64 KiB on
+        # Linux), so the command is still writing when the reader leaves
+        f, g = diamond_chain(2, 11)
+        files = [tmp_path / "f.graph", tmp_path / "g.graph"]
+        for path, graph in zip(files, (f, g)):
+            path.write_text(render_graph(path.stem, graph), encoding="utf-8")
+        assert len(render_graph("result", execute(f, g))) > 4 * 65536
+        env = dict(os.environ)
+        # buffered, as by default: an unbuffered text stdout drops the rest
+        # of a write that the pipe cut short, and the run ends with 0
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "intgraphs.cli", "execute", *map(str, files)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert child.stdout.readline() == b"graph result\n"
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert b"Traceback" not in err
+        assert (child.returncode, err) == (cli.EXIT_PIPE, b"")
+        assert cli.EXIT_PIPE == 141
 
 
 class TestCob:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import pickle
+import sys
 
 import pytest
 
@@ -24,6 +26,7 @@ from intgraphs.graph import (
     InfinitePathSetError,
     alternating_paths,
 )
+from test_kernel import diamond_chain
 
 
 def g(vertices, edges=()):
@@ -131,6 +134,72 @@ class TestExecute:
         H = g({"b", "c", "y"}, [("f", "b", "c"), ("z", "b", "y")])
         with pytest.raises(InfinitePathSetError):
             execute(G, H)
+
+
+def _collections_inside(func, *args) -> int:
+    """The number of cyclic collections that start while ``func`` runs
+    on ``args``, with the collector enabled; the collector's state and its
+    callbacks are restored afterwards."""
+    code = func.__code__
+    starts = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        func(*args)
+    finally:
+        gc.callbacks.remove(record)
+        if not enabled:
+            gc.disable()
+    return len(starts)
+
+
+class TestCollectorPause:
+    """`execute` pauses the cyclic collector while it builds its result,
+    and leaves it as it found it."""
+
+    INFINITE = (
+        g({"a", "b", "c"}, [("e", "a", "b"), ("g", "c", "b")]),
+        g({"b", "c", "y"}, [("f", "b", "c"), ("z", "b", "y")]),
+    )
+    SHARED_ID = (g({"a", "b"}, [("e", "a", "b")]), g({"c", "d"}, [("e", "c", "d")]))
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            (diamond_chain(2, 3), None),
+            (INFINITE, InfinitePathSetError),
+            (SHARED_ID, PreconditionViolationError),
+        ],
+        ids=["returns", "infinite", "precondition"],
+    )
+    def test_the_collector_is_left_as_it_was_found(self, pair, error, enabled):
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                execute(*pair)
+            else:
+                with pytest.raises(error):
+                    execute(*pair)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_no_collection_starts_inside_execute(self):
+        # 2^12 paths: the walk alone sets off collections, execute none
+        chain = diamond_chain(2, 11)
+        assert _collections_inside(alternating_paths, *chain) > 0
+        assert _collections_inside(execute, *chain) == 0
 
 
 class TestMeasure:

@@ -130,3 +130,67 @@ def test_every_hand_slotted_class_derives_from_the_frozen_base():
         if not any(isinstance(b, ast.Name) and b.id == "_Frozen" for b in node.bases)
     ]
     assert len(slotted) >= 4 and found == []
+
+
+def _allowed_in_package_init(index: int, stmt: ast.stmt) -> bool:
+    """Whether ``stmt``, statement ``index`` of a package ``__init__``,
+    declares and does nothing: the docstring, a relative import, the
+    ``__all__`` assignment, or a version string."""
+    value = getattr(stmt, "value", None)
+    string = isinstance(value, ast.Constant) and isinstance(value.value, str)
+    if isinstance(stmt, ast.Expr):
+        return index == 0 and string
+    if isinstance(stmt, ast.ImportFrom):
+        return stmt.level > 0
+    names = [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
+    return isinstance(stmt, ast.Assign) and (
+        names == ["__all__"] or (names == ["__version__"] and string)
+    )
+
+
+def test_the_package_init_holds_no_logic():
+    """Stdlib ``trace`` writes no report for a package's ``__init__.py``,
+    so CI's line-coverage step cannot see it.  The file may hold only its
+    docstring, relative imports, the version string and ``__all__``; then
+    it has no line that a test could miss."""
+    path = ROOT / "src" / "intgraphs" / "__init__.py"
+    body = _tree(path).body
+    found = [
+        f"{path.relative_to(ROOT)}:{stmt.lineno} {type(stmt).__name__}"
+        for index, stmt in enumerate(body)
+        if not _allowed_in_package_init(index, stmt)
+    ]
+    assert body and found == []
+
+
+@pytest.mark.parametrize(
+    "source, allowed",
+    [
+        ('"""Doc."""', [True]),
+        ("from .graph import Graph", [True]),
+        ("import os", [False]),
+        ("from os import path", [False]),
+        ("__all__ = ['Graph']", [True]),
+        ("__version__ = '1'", [True]),
+        ("__version__ = compute()", [False]),
+        ("x = 1", [False]),
+        ("def f():\n    pass", [False]),
+        ("'''Doc.'''\n'''Not a docstring.'''", [True, False]),
+        ("if True:\n    from .graph import Graph", [False]),
+    ],
+)
+def test_the_package_init_check_tells_logic_from_declarations(source, allowed):
+    body = ast.parse(source).body
+    assert [_allowed_in_package_init(i, stmt) for i, stmt in enumerate(body)] == allowed
+
+
+def test_only_execute_touches_the_cyclic_collector():
+    """`execution.execute` pauses the collector for its own call and
+    restores it; no other library code reads or sets its state."""
+    found = set()
+    for path in LIBRARY:
+        tree = _tree(path)
+        for top in tree.body:
+            if any(isinstance(n, ast.Name) and n.id == "gc" for n in ast.walk(top)):
+                found.add(f"{path.relative_to(ROOT).as_posix()}:{getattr(top, 'name', '')}")
+    assert found == {"src/intgraphs/execution.py:execute"}
